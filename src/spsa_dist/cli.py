@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import theory
-from .config import CliConfig, ConfigError, bundled_config_text, load_config, parse_config
+from .config import ConfigError, bundled_config_text, load_config, parse_config
 from .experiments import (
     DivergedRunError,
     ExperimentResult,
@@ -138,12 +138,8 @@ def _cmd_moments(args) -> int:
     return 0
 
 
-def _load(path: str) -> CliConfig:
-    return load_config(path)
-
-
 def _cmd_check(args) -> int:
-    cfg = _load(args.config)
+    cfg = load_config(args.config)
     spec = cfg.experiment
     inp, source = theory.condition_input_from_problem(
         spec.problem,
@@ -166,7 +162,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    cfg = _load(args.config)
+    cfg = load_config(args.config)
     out = args.out or cfg.out
     if out is None:
         raise _UsageError("no output path: pass --out or set 'out' in the config")

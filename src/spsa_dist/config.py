@@ -10,6 +10,7 @@ config always yields an identical spec.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -76,7 +77,14 @@ def _as_number(value, path: str, source: str) -> float:
     # bool is an int subclass; it is not a number here
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{source}: {path} must be a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    # json also accepts NaN, Infinity and float literals that overflow, like 1e999
+    if not math.isfinite(number):
+        raise ConfigError(f"{source}: {path} must be finite, got {number}")
+    return number
 
 
 def _as_int(value, path: str, source: str) -> int:

@@ -241,26 +241,30 @@ def sp_gradient(
     theta,
     c_k: float,
     delta,
-    eps_plus: float,
-    eps_minus: float,
+    eps_plus,
+    eps_minus,
 ) -> np.ndarray:
     """Simultaneous-perturbation gradient estimate from two evaluations.
 
     Component i is [y(theta + c_k*delta) - y(theta - c_k*delta)] / (2*c_k*delta_i)
     with the supplied noise realizations attached to the two evaluations.
     Exactly two loss evaluations are performed regardless of dimension.
+
+    ``theta`` and ``delta`` have shape (..., p) and the noise terms shape
+    (...), so a block of replicates steps in one call; row r of the result
+    equals the call on row r alone, bit for bit.
     """
     theta = np.asarray(theta, dtype=float)
     delta = np.asarray(delta, dtype=float)
-    if theta.shape != (problem.p,) or delta.shape != (problem.p,):
-        raise ValueError(f"theta and delta must have shape ({problem.p},)")
+    if theta.shape[-1:] != (problem.p,) or delta.shape != theta.shape:
+        raise ValueError(f"theta and delta must have the same shape (..., {problem.p})")
     if not (c_k > 0.0):
         raise ValueError("c_k must be positive")
     if np.any(delta == 0.0):
         raise ValueError("perturbation components must be nonzero")
-    y_plus = float(problem.loss.evaluator(theta + c_k * delta)) + eps_plus
-    y_minus = float(problem.loss.evaluator(theta - c_k * delta)) + eps_minus
-    return (y_plus - y_minus) / (2.0 * c_k * delta)
+    y_plus = problem.loss.evaluator(theta + c_k * delta) + eps_plus
+    y_minus = problem.loss.evaluator(theta - c_k * delta) + eps_minus
+    return np.asarray(y_plus - y_minus)[..., None] / (2.0 * c_k * delta)
 
 
 @dataclass
@@ -292,7 +296,7 @@ def spsa_run(
 
     Per-iteration random consumption order is fixed: the p perturbation
     components (each consuming the distribution's fixed number of uniforms),
-    then the uniform behind eps_plus, then the one behind eps_minus. When
+    then the uniforms behind eps_plus and eps_minus, in that order. When
     ``noise_rng`` is given, the noise draws come from it instead of ``rng``,
     which lets paired experiments share a noise stream across distributions.
     """
@@ -311,8 +315,7 @@ def spsa_run(
     n_evals = 0
     for k in range(k_max):
         delta = dist.sample_array(rng, problem.p)
-        eps_plus = sigma * float(standard_normal_from_uniform(noise.random()))
-        eps_minus = sigma * float(standard_normal_from_uniform(noise.random()))
+        eps_plus, eps_minus = sigma * standard_normal_from_uniform(noise.random(2))
         with np.errstate(over="ignore", invalid="ignore"):
             grad = sp_gradient(problem, theta, schedule.gain_c(k), delta, eps_plus, eps_minus)
             theta = theta - schedule.gain_a(k) * grad

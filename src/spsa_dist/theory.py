@@ -20,9 +20,11 @@ conservative envelope for that remainder and the condition
 ``lhs_explicit + U < 0`` is sufficient.
 
 :func:`one_step_mse_quadratic` implements the closed form above directly from
-the moment table. It is deliberately independent of the condition evaluators
-so the identity between the two can serve as a cross-check, and it is itself
-checked against exhaustive enumeration of Bernoulli outcomes in the tests.
+the moment table, and every condition form here is built from it, so the
+laws' moments enter only through :meth:`PerturbationDistribution.moments`.
+The tests check it against exhaustive enumeration of Bernoulli outcomes and
+the conditions against a hand-expanded form written out with the segmented
+uniform's rational moments.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GainSchedule, LossFunction, ProblemConfig, finite_difference_gradient
-from .perturbations import PerturbationDistribution
+from .perturbations import BERNOULLI, SEGMENTED_UNIFORM, PerturbationDistribution
 
 __all__ = [
     "FORM_AUTO",
@@ -156,17 +158,6 @@ class ConditionReport:
             lines.append(f"note = {self.note}")
         return "\n".join(lines)
 
-    def to_dict(self) -> dict:
-        return {
-            "condition": self.which_condition,
-            "lhs_explicit": self.lhs_explicit,
-            "u_bound": self.u_bound,
-            "lhs_conservative": self.lhs_conservative,
-            "verdict": self.verdict,
-            "gradient_source": self.gradient_source,
-            "note": self.note,
-        }
-
 
 def condition_lhs_explicit(inp: ConditionInput) -> float:
     """Explicit terms of mse_su - mse_bernoulli for one step.
@@ -174,35 +165,21 @@ def condition_lhs_explicit(inp: ConditionInput) -> float:
     Exact for quadratic losses; for other losses an order-c0^2 remainder is
     omitted. Negative means the segmented uniform wins.
     """
-    grad = np.asarray(inp.grad_at_start)
-    offset = np.asarray(inp.start_offset)
-    p = inp.p
-    a0s, a0b = inp.a0_su, inp.a0_bernoulli
-    c0s, c0b = inp.c0_su, inp.c0_bernoulli
-    grad_sq = float(grad @ grad)
-    drift = float(offset @ grad)
-    term_grad = ((100.0 * p - 39.0) / 61.0 * a0s**2 - p * a0b**2) * grad_sq
-    term_mixed = (a0s - a0b) * (
-        p * inp.sigma2 * (a0s + a0b) / (2.0 * c0b**2) - 2.0 * drift
+    mse_su = one_step_mse_quadratic(
+        inp.start_offset, inp.grad_at_start, inp.a0_su, inp.c0_su, inp.sigma2, SEGMENTED_UNIFORM
     )
-    term_noise = -p * a0s**2 * inp.sigma2 * (1.0 / (2.0 * c0b**2) - 50.0 / (61.0 * c0s**2))
-    return term_grad + term_mixed + term_noise
+    mse_b = one_step_mse_quadratic(
+        inp.start_offset, inp.grad_at_start, inp.a0_bernoulli, inp.c0_bernoulli, inp.sigma2,
+        BERNOULLI,
+    )
+    return mse_su - mse_b
 
 
 def corollary3_lhs(inp: ConditionInput) -> float:
     """The explicit comparison specialized to quadratic losses with p = 2."""
     if inp.p != 2:
         raise ValueError(f"this condition form requires p = 2, got p = {inp.p}")
-    g1, g2 = inp.grad_at_start
-    e1, e2 = inp.start_offset
-    a0s, a0b = inp.a0_su, inp.a0_bernoulli
-    c0s, c0b = inp.c0_su, inp.c0_bernoulli
-    term_grad = (161.0 / 61.0 * a0s**2 - 2.0 * a0b**2) * (g1 * g1 + g2 * g2)
-    term_mixed = (a0s - a0b) * (
-        inp.sigma2 * (a0s + a0b) / c0b**2 - 2.0 * (g1 * e1 + g2 * e2)
-    )
-    term_noise = -(a0s**2) * inp.sigma2 * (1.0 / c0b**2 - 100.0 / (61.0 * c0s**2))
-    return term_grad + term_mixed + term_noise
+    return condition_lhs_explicit(inp)
 
 
 def u_bound(inp: ConditionInput, max_grad_component: float | None = None) -> float:
@@ -236,8 +213,11 @@ def check_remark2(inp: ConditionInput) -> Remark2Checks:
     segmented uniform is favored without evaluating the full expression.
     """
     p = inp.p
-    a_threshold = math.sqrt(p / ((100.0 * p - 39.0) / 61.0))
-    c_threshold = math.sqrt(61.0 / 100.0)
+    bern, su = BERNOULLI.moments(), SEGMENTED_UNIFORM.moments()
+    a_threshold = math.sqrt(
+        (1.0 + bern.ratio_second * (p - 1)) / (1.0 + su.ratio_second * (p - 1))
+    )
+    c_threshold = math.sqrt(bern.inv_second / su.inv_second)
     ratio_a_ok = (
         inp.a0_bernoulli > 0.0 and inp.a0_su / inp.a0_bernoulli < a_threshold
     )

@@ -109,6 +109,19 @@ class TestCheck:
         doc["surprise"] = 1
         assert cli.main(["check", str(write_doc(tmp_path, doc))]) == 1
         assert "surprise" in capsys.readouterr().err
+        # non-finite numbers are config errors, never a verdict or a divergence
+        doc = small_run_doc()
+        doc["problem"]["theta0"] = [float("nan"), 0.3]
+        assert cli.main(["check", str(write_doc(tmp_path, doc))]) == 1
+        captured = capsys.readouterr()
+        assert "problem.theta0[0]" in captured.err
+        assert "verdict" not in captured.out
+        doc = small_run_doc()
+        doc["problem"]["sigma2"] = float("inf")
+        out_path = tmp_path / "inf.csv"
+        assert cli.main(["run", str(write_doc(tmp_path, doc)), "--out", str(out_path)]) == 1
+        assert "problem.sigma2" in capsys.readouterr().err
+        assert not out_path.exists()
 
 
 class TestRun:

@@ -96,6 +96,21 @@ def test_type_errors():
     doc["problem"]["theta0"] = [0.3]
     with pytest.raises(ConfigError, match="array of 2 numbers"):
         parse_doc(doc)
+    # json.dumps writes NaN and Infinity literals, which json.loads accepts
+    doc = quadratic_doc()
+    doc["problem"]["theta0"] = [float("nan"), 0.3]
+    with pytest.raises(ConfigError, match=r"problem\.theta0\[0\] must be finite"):
+        parse_doc(doc)
+    doc = quadratic_doc()
+    doc["problem"]["sigma2"] = float("inf")
+    with pytest.raises(ConfigError, match="problem.sigma2 must be finite"):
+        parse_doc(doc)
+    for literal in ("1e999", "-1e999", "1" + "0" * 400):
+        doc = quadratic_doc()
+        doc["gains"]["bernoulli"]["a"] = "OVERFLOW"
+        text = json.dumps(doc).replace('"OVERFLOW"', literal)
+        with pytest.raises(ConfigError, match="gains.bernoulli.a must be finite"):
+            parse_config(text, source="test")
 
 
 def test_semantic_errors():

@@ -182,6 +182,22 @@ class TestSpGradient:
             sp_gradient(quadratic_problem(), (0.3, 0.3), 0.1, (1.0, 0.0), 0.0, 0.0)
         with pytest.raises(ValueError, match="positive"):
             sp_gradient(quadratic_problem(), (0.3, 0.3), 0.0, (1.0, 1.0), 0.0, 0.0)
+        with pytest.raises(ValueError, match="shape"):
+            sp_gradient(quadratic_problem(), ((0.3, 0.3),) * 3, 0.1, (1.0, 1.0), 0.0, 0.0)
+
+    @pytest.mark.parametrize("dist", (BERNOULLI, SEGMENTED_UNIFORM), ids=lambda d: d.name)
+    def test_batched_rows_match_single_calls(self, dist):
+        problem = quartic_problem(sigma2=1.0)
+        rng = np.random.default_rng(23)
+        rows = 64
+        theta = rng.uniform(-2.0, 2.0, size=(rows, 2))
+        delta = dist.sample_array(rng, (rows, 2))
+        eps = rng.normal(size=(rows, 2))
+        batched = sp_gradient(problem, theta, 0.3, delta, eps[:, 0], eps[:, 1])
+        assert batched.shape == (rows, 2)
+        for r in range(rows):
+            single = sp_gradient(problem, theta[r], 0.3, delta[r], eps[r, 0], eps[r, 1])
+            assert np.array_equal(batched[r], single)
 
 
 class TestSpsaRun:

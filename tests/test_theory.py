@@ -57,6 +57,25 @@ def random_input(rng, p=None):
     )
 
 
+def hand_expanded_lhs(inp):
+    """mse_su - mse_bernoulli written out term by term, with the segmented
+    uniform's E[Xi^2/Xj^2] = E[1/X^2] = 100/61 as literals; an oracle
+    independent of the moment table."""
+    grad = np.asarray(inp.grad_at_start)
+    offset = np.asarray(inp.start_offset)
+    p = inp.p
+    a0s, a0b = inp.a0_su, inp.a0_bernoulli
+    c0s, c0b = inp.c0_su, inp.c0_bernoulli
+    grad_sq = float(grad @ grad)
+    drift = float(offset @ grad)
+    term_grad = ((100.0 * p - 39.0) / 61.0 * a0s**2 - p * a0b**2) * grad_sq
+    term_mixed = (a0s - a0b) * (
+        p * inp.sigma2 * (a0s + a0b) / (2.0 * c0b**2) - 2.0 * drift
+    )
+    term_noise = -p * a0s**2 * inp.sigma2 * (1.0 / (2.0 * c0b**2) - 50.0 / (61.0 * c0s**2))
+    return term_grad + term_mixed + term_noise
+
+
 def equal_gain_lhs(p, a0, c0, grad_sq, sigma2):
     # independent simplification of the explicit condition at equal gains
     return (39.0 / 61.0) * (p - 1) * a0**2 * grad_sq + (39.0 / 122.0) * p * a0**2 * sigma2 / c0**2
@@ -121,7 +140,9 @@ class TestConditionValues:
         rng = np.random.default_rng(32)
         for _ in range(1000):
             inp = random_input(rng, p=2)
-            assert abs(corollary3_lhs(inp) - condition_lhs_explicit(inp)) <= 1e-12
+            expected = hand_expanded_lhs(inp)
+            assert abs(condition_lhs_explicit(inp) - expected) <= 1e-12
+            assert abs(corollary3_lhs(inp) - expected) <= 1e-12
 
     def test_corollary3_requires_p2(self):
         rng = np.random.default_rng(33)
@@ -244,6 +265,8 @@ class TestOneStepMse:
         assert diff == pytest.approx(-0.0114, abs=1e-4)
 
     def test_identity_with_condition_lhs(self):
+        # general p, against the hand expansion rather than the library's
+        # condition, which is itself built from one_step_mse_quadratic
         rng = np.random.default_rng(35)
         for _ in range(1000):
             inp = random_input(rng)
@@ -255,7 +278,7 @@ class TestOneStepMse:
                 inp.start_offset, inp.grad_at_start, inp.a0_bernoulli, inp.c0_bernoulli,
                 inp.sigma2, BERNOULLI,
             )
-            assert abs((mse_su - mse_b) - condition_lhs_explicit(inp)) <= 1e-12
+            assert abs((mse_su - mse_b) - hand_expanded_lhs(inp)) <= 1e-12
 
     def test_bernoulli_closed_form_matches_enumeration(self):
         rng = np.random.default_rng(36)
