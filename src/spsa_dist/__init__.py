@@ -59,7 +59,6 @@ from .theory import (
     condition_lhs_explicit,
     corollary3_lhs,
     evaluate_condition,
-    mse_one_step_quadratic,
     one_step_mse_quadratic,
     u_bound,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "evaluate_condition",
     "from_name",
     "get_loss",
-    "mse_one_step_quadratic",
     "noisy_eval",
     "one_step_mse_quadratic",
     "paired_t_test",

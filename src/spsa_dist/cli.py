@@ -26,13 +26,7 @@ import numpy as np
 
 from . import theory
 from .config import ConfigError, bundled_config_text, load_config, parse_config
-from .experiments import (
-    DivergedRunError,
-    ExperimentResult,
-    MseEstimate,
-    run_experiment,
-    write_csv,
-)
+from .experiments import DivergedRunError, run_experiment, write_csv
 from .perturbations import from_name
 
 __all__ = ["main"]
@@ -150,7 +144,6 @@ def _cmd_check(args) -> int:
     report = theory.evaluate_condition(
         inp,
         quadratic=spec.problem.loss.is_quadratic,
-        form=cfg.condition_form,
         gradient_source=source,
     )
     checks = theory.check_remark2(inp)
@@ -187,17 +180,6 @@ def _format_p(p: float) -> str:
     return f"{p:.3g}"
 
 
-def _merge_rows(results: list[ExperimentResult]):
-    estimates: dict[tuple[int, str], MseEstimate] = {}
-    comparisons = {}
-    for result in results:
-        for est in result.estimates:
-            estimates[(est.k, est.distribution)] = est
-        for cmp in result.comparisons:
-            comparisons[cmp.k] = cmp
-    return estimates, comparisons
-
-
 def _cmd_reproduce(args) -> int:
     table = _REFERENCE_TABLES[args.table]
     cfg = parse_config(bundled_config_text(table["config"]), source=table["config"])
@@ -209,7 +191,8 @@ def _cmd_reproduce(args) -> int:
         reps = args.reps if args.reps is not None else default_reps
         spec = replace(base, k_values=tuple(k_group), n_reps=reps)
         results.append(run_experiment(spec))
-    estimates, comparisons = _merge_rows(results)
+    estimates = {(est.k, est.distribution): est for res in results for est in res.estimates}
+    comparisons = {cmp.k: cmp for res in results for cmp in res.comparisons}
 
     tol = table["tolerance"]
     print(f"{args.table}: loss {base.problem.loss.name}, seed {base.master_seed}")

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-from . import theory
 from .core import GainSchedule, ProblemConfig, get_loss
 from .experiments import ExperimentSpec
 
@@ -31,14 +30,6 @@ __all__ = [
 #: Names of the configs shipped with the package (see ``configs/``).
 BUNDLED_CONFIGS = ("quadratic", "quartic")
 
-_CONDITION_FORMS = (
-    theory.FORM_AUTO,
-    theory.FORM_THEOREM1,
-    theory.FORM_COROLLARY1,
-    theory.FORM_COROLLARY2,
-    theory.FORM_COROLLARY3,
-)
-
 
 class ConfigError(ValueError):
     """A configuration file failed to parse or validate."""
@@ -47,7 +38,6 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class CliConfig:
     experiment: ExperimentSpec
-    condition_form: str = "auto"
     third_derivative_bound: float | None = None
     out: str | None = None
 
@@ -104,11 +94,10 @@ def _parse_schedule(value, path: str, source: str) -> GainSchedule:
     _reject_unknown(mapping, ("a", "c"), path, source)
     a = _as_number(_require(mapping, "a", path, source), f"{path}.a", source)
     c = _as_number(_require(mapping, "c", path, source), f"{path}.c", source)
-    if a < 0.0:
-        raise ConfigError(f"{source}: {path}.a must be nonnegative")
-    if c <= 0.0:
-        raise ConfigError(f"{source}: {path}.c must be positive")
-    return GainSchedule(a=a, c=c)
+    try:
+        return GainSchedule(a=a, c=c)
+    except ValueError as exc:
+        raise ConfigError(f"{source}: {path}: {exc}") from None
 
 
 def parse_config(text: str, source: str = "<config>") -> CliConfig:
@@ -126,7 +115,6 @@ def parse_config(text: str, source: str = "<config>") -> CliConfig:
             "k_values",
             "n_reps",
             "master_seed",
-            "condition_form",
             "third_derivative_bound",
             "out",
         ),
@@ -203,11 +191,6 @@ def parse_config(text: str, source: str = "<config>") -> CliConfig:
     except ValueError as exc:
         raise ConfigError(f"{source}: {exc}") from None
 
-    condition_form = mapping.get("condition_form", "auto")
-    if condition_form not in _CONDITION_FORMS:
-        raise ConfigError(
-            f"{source}: condition_form must be one of {', '.join(_CONDITION_FORMS)}"
-        )
     third_derivative_bound = mapping.get("third_derivative_bound")
     if third_derivative_bound is not None:
         third_derivative_bound = _as_number(
@@ -221,7 +204,6 @@ def parse_config(text: str, source: str = "<config>") -> CliConfig:
 
     return CliConfig(
         experiment=experiment,
-        condition_form=condition_form,
         third_derivative_bound=third_derivative_bound,
         out=out,
     )
@@ -254,8 +236,6 @@ def dumps_config(config: CliConfig) -> str:
         "n_reps": spec.n_reps,
         "master_seed": spec.master_seed,
     }
-    if config.condition_form != "auto":
-        document["condition_form"] = config.condition_form
     if config.third_derivative_bound is not None:
         document["third_derivative_bound"] = config.third_derivative_bound
     if config.out is not None:

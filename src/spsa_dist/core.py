@@ -67,10 +67,10 @@ class GainSchedule:
     c: float
 
     def __post_init__(self):
-        if not (self.a >= 0.0):
-            raise ValueError("gain constant a must be nonnegative")
-        if not (self.c > 0.0):
-            raise ValueError("gain constant c must be positive")
+        if not (math.isfinite(self.a) and self.a >= 0.0):
+            raise ValueError("gain constant a must be finite and nonnegative")
+        if not (math.isfinite(self.c) and self.c > 0.0):
+            raise ValueError("gain constant c must be finite and positive")
 
     def gain_a(self, k: int) -> float:
         """Step size a_k = a / (k + 2) ** 0.602 at iteration k >= 0."""
@@ -196,12 +196,14 @@ class ProblemConfig:
             raise ValueError("dimension p must be at least 1")
         if len(self.theta_star) != self.p or len(self.theta0) != self.p:
             raise ValueError("theta_star and theta0 must have length p")
+        if not all(math.isfinite(v) for v in self.theta_star + self.theta0):
+            raise ValueError("theta_star and theta0 must be finite")
         if self.loss.dimension is not None and self.loss.dimension != self.p:
             raise ValueError(
                 f'loss "{self.loss.name}" has dimension {self.loss.dimension}, not {self.p}'
             )
-        if not (self.sigma2 >= 0.0):
-            raise ValueError("noise variance sigma2 must be nonnegative")
+        if not (math.isfinite(self.sigma2) and self.sigma2 >= 0.0):
+            raise ValueError("noise variance sigma2 must be finite and nonnegative")
         if self.noise != "gaussian":
             raise ValueError(f'unsupported noise law "{self.noise}" (only "gaussian")')
         if self.loss.gradient is not None:

@@ -38,7 +38,6 @@ from .core import GainSchedule, LossFunction, ProblemConfig, finite_difference_g
 from .perturbations import BERNOULLI, SEGMENTED_UNIFORM, PerturbationDistribution
 
 __all__ = [
-    "FORM_AUTO",
     "FORM_THEOREM1",
     "FORM_COROLLARY1",
     "FORM_COROLLARY2",
@@ -53,13 +52,11 @@ __all__ = [
     "u_bound",
     "check_remark2",
     "one_step_mse_quadratic",
-    "mse_one_step_quadratic",
     "evaluate_condition",
     "gradient_at",
     "condition_input_from_problem",
 ]
 
-FORM_AUTO = "auto"
 FORM_THEOREM1 = "theorem1"
 FORM_COROLLARY1 = "corollary1"
 FORM_COROLLARY2 = "corollary2"
@@ -106,6 +103,14 @@ class ConditionInput:
             raise ValueError("p must be at least 1")
         if len(self.grad_at_start) != self.p or len(self.start_offset) != self.p:
             raise ValueError("grad_at_start and start_offset must have length p")
+        values = (
+            self.a0_su, self.a0_bernoulli, self.c0_su, self.c0_bernoulli, self.sigma2,
+            *self.grad_at_start, *self.start_offset,
+        )
+        if self.third_derivative_bound is not None:
+            values += (self.third_derivative_bound,)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("condition inputs must be finite")
         # a tuned step gain may legitimately be zero (no step); c gains cannot
         if self.a0_su < 0.0 or self.a0_bernoulli < 0.0:
             raise ValueError("step gains must be nonnegative")
@@ -182,26 +187,25 @@ def corollary3_lhs(inp: ConditionInput) -> float:
     return condition_lhs_explicit(inp)
 
 
-def u_bound(inp: ConditionInput, max_grad_component: float | None = None) -> float:
-    """Conservative envelope U for the omitted order-c0^2 remainder.
+def u_bound(inp: ConditionInput) -> float:
+    """Conservative envelope U >= 0 for the omitted order-c0^2 remainder.
 
-    Requires the uniform third-derivative bound M on the input.
-    ``max_grad_component`` defaults to max_i of ``grad_at_start``. Note the
-    middle term is cubic in the segmented-uniform step gain (a0_su enters
-    three times); that asymmetric power is intentional.
+    Requires the uniform third-derivative bound M on the input. The gradient
+    enters through max_i |g_i|. Note the middle term is cubic in the
+    segmented-uniform step gain (a0_su enters three times); that asymmetric
+    power is intentional.
     """
     if inp.third_derivative_bound is None:
         raise ValueError("u_bound requires third_derivative_bound to be set")
     m_bound = inp.third_derivative_bound
-    if max_grad_component is None:
-        max_grad_component = float(max(inp.grad_at_start))
+    max_abs_grad = max(abs(g) for g in inp.grad_at_start)
     p = inp.p
     a0s, a0b = inp.a0_su, inp.a0_bernoulli
     c0s, c0b = inp.c0_su, inp.c0_bernoulli
     abs_offset_sum = float(np.abs(np.asarray(inp.start_offset)).sum())
     term1 = (4.0 * a0s * c0s**2 + a0b * c0b**2) * m_bound * abs_offset_sum * (p - 1) ** 2
     term2 = (1.0 / 20.0) * a0s**2 * c0s**4 * m_bound**2 * p**7 * a0s
-    term3 = (1.0 / 3.0) * (a0s**2 * c0s**3 + a0b**2 * c0b**3) * m_bound * p**5 * max_grad_component
+    term3 = (1.0 / 3.0) * (a0s**2 * c0s**3 + a0b**2 * c0b**3) * m_bound * p**5 * max_abs_grad
     return term1 + term2 + term3
 
 
@@ -267,24 +271,6 @@ def one_step_mse_quadratic(
     )
 
 
-def mse_one_step_quadratic(
-    problem: ProblemConfig,
-    a0: float,
-    c0: float,
-    dist: PerturbationDistribution,
-) -> float:
-    """One-step MSE of :func:`one_step_mse_quadratic` for a registered problem."""
-    if not problem.loss.is_quadratic:
-        raise ValueError(
-            f'loss "{problem.loss.name}" is not quadratic; the one-step MSE has no '
-            "closed form"
-        )
-    theta0 = np.asarray(problem.theta0)
-    grad, _ = gradient_at(problem.loss, theta0)
-    offset = theta0 - np.asarray(problem.theta_star)
-    return one_step_mse_quadratic(offset, grad, a0, c0, problem.sigma2, dist)
-
-
 def gradient_at(loss: LossFunction, theta) -> tuple[np.ndarray, str]:
     """First derivatives at theta and where they came from.
 
@@ -324,39 +310,30 @@ def evaluate_condition(
     inp: ConditionInput,
     *,
     quadratic: bool,
-    form: str = FORM_AUTO,
     gradient_source: str = "supplied",
 ) -> ConditionReport:
     """Evaluate the comparison condition and report the verdict.
 
-    With ``form="auto"`` the tightest applicable form is chosen: for quadratic
-    losses the explicit value is exact (the p = 2 specialization when it
-    applies); otherwise the conservative form is used when a third-derivative
-    bound is available, and the bare explicit form, with a caveat, when not.
+    The form follows from the inputs. For quadratic losses the explicit value
+    is exact: Corollary 3 at p = 2, Corollary 2 otherwise. For other losses
+    the conservative form (Corollary 1) is used when a third-derivative bound
+    is available, and the bare explicit form (Theorem 1), with a caveat, when
+    not.
     """
-    if form == FORM_AUTO:
-        if quadratic:
-            form = FORM_COROLLARY3 if inp.p == 2 else FORM_COROLLARY2
-        elif inp.third_derivative_bound is not None:
-            form = FORM_COROLLARY1
-        else:
-            form = FORM_THEOREM1
-    if form == FORM_COROLLARY3:
-        lhs_explicit = corollary3_lhs(inp)
-    elif form in (FORM_THEOREM1, FORM_COROLLARY1, FORM_COROLLARY2):
-        lhs_explicit = condition_lhs_explicit(inp)
-    else:
-        raise ValueError(f'unknown condition form "{form}"')
-
+    lhs_explicit = condition_lhs_explicit(inp)
     bound = None
     lhs_conservative = None
     note = ""
-    if form == FORM_COROLLARY1:
+    if quadratic:
+        form = FORM_COROLLARY3 if inp.p == 2 else FORM_COROLLARY2
+    elif inp.third_derivative_bound is not None:
+        form = FORM_COROLLARY1
         bound = u_bound(inp)
         lhs_conservative = lhs_explicit + bound
-    elif form == FORM_THEOREM1 and not quadratic:
+    else:
+        form = FORM_THEOREM1
         note = _REMAINDER_NOTE
-    decided_value = lhs_conservative if lhs_conservative is not None else lhs_explicit
+    decided_value = lhs_explicit if lhs_conservative is None else lhs_conservative
     verdict = SU_FAVORED if decided_value < 0.0 else BERNOULLI_FAVORED_OR_INCONCLUSIVE
     return ConditionReport(
         which_condition=form,

@@ -96,9 +96,11 @@ class TestCheck:
         doc["problem"].update(
             {"loss": "sphere_3d", "dimension": 3, "theta_star": [0, 0, 0], "theta0": [1, 1, 1]}
         )
-        doc["condition_form"] = "corollary3"
-        assert cli.main(["check", str(write_doc(tmp_path, doc))]) == 1
-        assert "p = 2" in capsys.readouterr().err
+        # a quadratic loss at p = 3 is Corollary 2, not Corollary 3
+        assert cli.main(["check", str(write_doc(tmp_path, doc))]) == 0
+        out = capsys.readouterr().out
+        assert "condition = corollary2" in out
+        assert "note = " not in out
 
     def test_missing_file_is_runtime_failure(self, capsys, tmp_path):
         assert cli.main(["check", str(tmp_path / "absent.json")]) == 2

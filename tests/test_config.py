@@ -28,12 +28,10 @@ def test_bundled_configs_round_trip(name):
 
 def test_round_trip_preserves_optional_fields():
     doc = quadratic_doc()
-    doc["condition_form"] = "corollary3"
     doc["third_derivative_bound"] = 1.5
     doc["out"] = "results.csv"
     cfg = parse_doc(doc)
     assert parse_config(dumps_config(cfg), source="test") == cfg
-    assert cfg.condition_form == "corollary3"
     assert cfg.third_derivative_bound == 1.5
     assert cfg.out == "results.csv"
 
@@ -65,6 +63,11 @@ def test_unknown_keys_rejected():
     doc = quadratic_doc()
     doc["gains"]["bernoulli"]["b"] = 2.0
     with pytest.raises(ConfigError, match="'b'"):
+        parse_doc(doc)
+    # the condition form follows from the loss, p and third_derivative_bound
+    doc = quadratic_doc()
+    doc["condition_form"] = "corollary3"
+    with pytest.raises(ConfigError, match="unknown key.*'condition_form'"):
         parse_doc(doc)
 
 
@@ -146,11 +149,7 @@ def test_semantic_errors():
         parse_doc(doc)
     doc = quadratic_doc()
     doc["gains"]["bernoulli"]["c"] = 0.0
-    with pytest.raises(ConfigError, match="positive"):
-        parse_doc(doc)
-    doc = quadratic_doc()
-    doc["condition_form"] = "corollary9"
-    with pytest.raises(ConfigError, match="condition_form"):
+    with pytest.raises(ConfigError, match=r"gains\.bernoulli: .*positive"):
         parse_doc(doc)
     doc = quadratic_doc()
     doc["third_derivative_bound"] = -0.5

@@ -79,6 +79,9 @@ class TestGains:
             GainSchedule(a=-0.1, c=1.0)
         with pytest.raises(ValueError):
             GainSchedule(a=0.1, c=0.0)
+        for a, c in ((math.inf, 1.0), (math.nan, 1.0), (0.1, math.inf), (0.1, math.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                GainSchedule(a=a, c=c)
 
 
 class TestLossRegistry:
@@ -139,6 +142,16 @@ class TestProblemConfig:
                 sigma2=0.0,
                 theta0=(0, 0),
                 noise="cauchy",
+            )
+        for sigma2 in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                quadratic_problem(sigma2=sigma2)
+        with pytest.raises(ValueError, match="finite"):
+            quadratic_problem(theta0=(math.nan, 0.3))
+        with pytest.raises(ValueError, match="finite"):
+            ProblemConfig(
+                p=2, loss=get_loss("quadratic_4_1"), theta_star=(0.0, math.inf), sigma2=0.0,
+                theta0=(0, 0),
             )
 
 

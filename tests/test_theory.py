@@ -21,7 +21,6 @@ from spsa_dist.theory import (
     corollary3_lhs,
     evaluate_condition,
     gradient_at,
-    mse_one_step_quadratic,
     one_step_mse_quadratic,
     u_bound,
 )
@@ -97,6 +96,24 @@ def enumerated_bernoulli_mse(evaluator, theta0, theta_star, a0, c0, sigma2):
     return total / 2.0**p
 
 
+class TestConditionInput:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"grad_at_start": (math.nan, 0.3)},
+            {"start_offset": (0.3, math.inf)},
+            {"a0_su": math.inf},
+            {"c0_bernoulli": math.inf},
+            {"sigma2": math.nan},
+            {"third_derivative_bound": math.inf},
+        ],
+    )
+    def test_rejects_non_finite(self, overrides):
+        # a NaN would otherwise fail every "< 0" test and read as a verdict
+        with pytest.raises(ValueError, match="finite"):
+            reference_input(**overrides)
+
+
 class TestConditionValues:
     def test_reference_configuration(self):
         lhs = corollary3_lhs(reference_input())
@@ -167,7 +184,27 @@ class TestUBound:
             start_offset=(1.0,),
             third_derivative_bound=1.0,
         )
-        assert u_bound(inp, max_grad_component=1.0) == pytest.approx(43.0 / 60.0, abs=1e-15)
+        assert u_bound(inp) == pytest.approx(43.0 / 60.0, abs=1e-15)
+
+    def test_negative_gradient_keeps_envelope_nonnegative(self):
+        # the envelope uses max_i |g_i|; a signed max would make U negative
+        # here and turn a positive explicit value into an su_favored verdict
+        inp = ConditionInput(
+            p=2,
+            a0_su=0.3,
+            a0_bernoulli=0.3,
+            c0_su=0.5,
+            c0_bernoulli=0.5,
+            sigma2=0.0,
+            grad_at_start=(-2.0, -2.0),
+            start_offset=(0.0, 0.0),
+            third_derivative_bound=1.0,
+        )
+        assert u_bound(inp) >= 0.0
+        report = evaluate_condition(inp, quadratic=False)
+        assert report.which_condition == FORM_COROLLARY1
+        assert report.lhs_explicit == pytest.approx(0.4603, abs=1e-4)
+        assert report.verdict == BERNOULLI_FAVORED_OR_INCONCLUSIVE
 
     def test_requires_bound(self):
         with pytest.raises(ValueError, match="third_derivative_bound"):
@@ -175,7 +212,8 @@ class TestUBound:
 
     def test_conservative_equals_explicit_when_bound_zero(self):
         inp = reference_input(third_derivative_bound=0.0)
-        report = evaluate_condition(inp, quadratic=False, form=FORM_COROLLARY1)
+        report = evaluate_condition(inp, quadratic=False)
+        assert report.which_condition == FORM_COROLLARY1
         assert report.u_bound == 0.0
         assert report.lhs_conservative == report.lhs_explicit
         assert report.lhs_explicit == pytest.approx(-0.0114, abs=1e-4)
@@ -231,38 +269,42 @@ class TestRemark2:
             if u_unit > 0.0:
                 m_small = 0.5 * abs(lhs) / u_unit
                 bounded = replace(inp, third_derivative_bound=m_small)
-                report = evaluate_condition(bounded, quadratic=False, form=FORM_COROLLARY1)
+                report = evaluate_condition(bounded, quadratic=False)
+                assert report.which_condition == FORM_COROLLARY1
                 assert abs(report.u_bound) < abs(lhs)
                 assert report.verdict == SU_FAVORED
         assert tested == 50
 
 
 class TestOneStepMse:
-    def test_no_step_returns_start_error(self):
+    @staticmethod
+    def quadratic_input(schedule_su, schedule_bern):
         problem = ProblemConfig(
             p=2, loss=get_loss("quadratic_4_1"), theta_star=(0, 0), sigma2=1.0, theta0=(0.3, 0.3)
         )
-        assert mse_one_step_quadratic(problem, 0.0, 0.1, BERNOULLI) == pytest.approx(
-            0.18, abs=1e-15
-        )
+        inp, _ = condition_input_from_problem(problem, schedule_su, schedule_bern)
+        return inp
 
-    def test_rejects_non_quadratic(self):
-        problem = ProblemConfig(
-            p=2, loss=get_loss("quartic_4_2"), theta_star=(0, 0), sigma2=1.0, theta0=(1, 1)
+    def test_no_step_returns_start_error(self):
+        still = GainSchedule(a=0.0, c=0.1)
+        inp = self.quadratic_input(still, still)
+        mse = one_step_mse_quadratic(
+            inp.start_offset, inp.grad_at_start, inp.a0_bernoulli, inp.c0_bernoulli, inp.sigma2,
+            BERNOULLI,
         )
-        with pytest.raises(ValueError, match="not quadratic"):
-            mse_one_step_quadratic(problem, 0.01, 1.0, BERNOULLI)
+        assert mse == pytest.approx(0.18, abs=1e-15)
 
     def test_difference_reproduces_reference_value(self):
-        problem = ProblemConfig(
-            p=2, loss=get_loss("quadratic_4_1"), theta_star=(0, 0), sigma2=1.0, theta0=(0.3, 0.3)
+        inp = self.quadratic_input(GainSchedule(a=0.00167, c=0.1), GainSchedule(a=0.01897, c=0.1))
+        mse_su = one_step_mse_quadratic(
+            inp.start_offset, inp.grad_at_start, inp.a0_su, inp.c0_su, inp.sigma2,
+            SEGMENTED_UNIFORM,
         )
-        a0s = GainSchedule(a=0.00167, c=0.1).gain_a(0)
-        a0b = GainSchedule(a=0.01897, c=0.1).gain_a(0)
-        diff = mse_one_step_quadratic(problem, a0s, 0.1, SEGMENTED_UNIFORM) - mse_one_step_quadratic(
-            problem, a0b, 0.1, BERNOULLI
+        mse_b = one_step_mse_quadratic(
+            inp.start_offset, inp.grad_at_start, inp.a0_bernoulli, inp.c0_bernoulli, inp.sigma2,
+            BERNOULLI,
         )
-        assert diff == pytest.approx(-0.0114, abs=1e-4)
+        assert mse_su - mse_b == pytest.approx(-0.0114, abs=1e-4)
 
     def test_identity_with_condition_lhs(self):
         # general p, against the hand expansion rather than the library's
@@ -323,11 +365,6 @@ class TestEvaluateCondition:
         )
         assert bounded.which_condition == FORM_COROLLARY1
         assert bounded.lhs_conservative == bounded.lhs_explicit + bounded.u_bound
-
-    def test_corollary3_dimension_error(self):
-        rng = np.random.default_rng(38)
-        with pytest.raises(ValueError, match="p = 2"):
-            evaluate_condition(random_input(rng, p=3), quadratic=True, form=FORM_COROLLARY3)
 
     def test_verdict_flips_with_equal_gains(self):
         a0 = GainSchedule(a=0.01897, c=0.1).gain_a(0)
