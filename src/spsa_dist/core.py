@@ -146,7 +146,8 @@ def _quadratic_grad(theta: np.ndarray) -> np.ndarray:
 def _quartic_eval(theta: np.ndarray) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     t1, t2 = theta[..., 0], theta[..., 1]
-    return t1**4 + t1 * t1 + t1 * t2 + t2 * t2
+    sq = t1 * t1  # t1**4 as sq * sq: libm pow on strided views is ~10x slower
+    return sq * sq + sq + t1 * t2 + t2 * t2
 
 
 def _quartic_grad(theta: np.ndarray) -> np.ndarray:

@@ -224,9 +224,8 @@ def run_experiment(spec: ExperimentSpec, *, chunk_size: int = DEFAULT_CHUNK_SIZE
                         problem, theta[name], schedule.gain_c(k), delta, eps[:, 0], eps[:, 1]
                     )
                     current = theta[name] - schedule.gain_a(k) * ghat
-                finite = np.isfinite(current).all(axis=1)
-                if not finite.all():
-                    bad = int(np.argmin(finite))
+                if not np.isfinite(current).all():
+                    bad = int(np.argmin(np.isfinite(current).all(axis=1)))
                     raise DivergedRunError(start + bad, name, k)
                 theta[name] = current
             if (k + 1) in wanted_k:

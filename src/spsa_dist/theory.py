@@ -318,22 +318,30 @@ def evaluate_condition(
     is exact: Corollary 3 at p = 2, Corollary 2 otherwise. For other losses
     the conservative form (Corollary 1) is used when a third-derivative bound
     is available, and the bare explicit form (Theorem 1), with a caveat, when
-    not.
+    not. A deciding value that overflows to inf or NaN raises ValueError
+    instead of giving a verdict.
     """
-    lhs_explicit = condition_lhs_explicit(inp)
-    bound = None
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            lhs_explicit = condition_lhs_explicit(inp)
+            bound = None if quadratic or inp.third_derivative_bound is None else u_bound(inp)
+    except OverflowError:  # a float ** overflowed; the check below raises
+        lhs_explicit, bound = math.inf, None
     lhs_conservative = None
     note = ""
     if quadratic:
         form = FORM_COROLLARY3 if inp.p == 2 else FORM_COROLLARY2
-    elif inp.third_derivative_bound is not None:
+    elif bound is not None:
         form = FORM_COROLLARY1
-        bound = u_bound(inp)
         lhs_conservative = lhs_explicit + bound
     else:
         form = FORM_THEOREM1
         note = _REMAINDER_NOTE
     decided_value = lhs_explicit if lhs_conservative is None else lhs_conservative
+    if not math.isfinite(decided_value):
+        raise ValueError(
+            f"condition value overflowed to {decided_value}: inputs too large for float64"
+        )
     verdict = SU_FAVORED if decided_value < 0.0 else BERNOULLI_FAVORED_OR_INCONCLUSIVE
     return ConditionReport(
         which_condition=form,

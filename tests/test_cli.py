@@ -102,6 +102,14 @@ class TestCheck:
         assert "condition = corollary2" in out
         assert "note = " not in out
 
+    def test_overflow_exit_code(self, capsys, tmp_path):
+        doc = small_run_doc()
+        doc["problem"]["theta0"] = [1e200, 1e200]
+        assert cli.main(["check", str(write_doc(tmp_path, doc))]) == 1
+        captured = capsys.readouterr()
+        assert "overflow" in captured.err
+        assert "verdict" not in captured.out
+
     def test_missing_file_is_runtime_failure(self, capsys, tmp_path):
         assert cli.main(["check", str(tmp_path / "absent.json")]) == 2
         assert "runtime failure" in capsys.readouterr().err

@@ -113,6 +113,19 @@ class TestLossRegistry:
         with pytest.raises(ValueError, match="stationary"):
             register_loss(loss, stationary_point=(0.0, 0.0))
 
+    def test_quartic_exact_at_integer_points(self):
+        evaluator = get_loss("quartic_4_2").evaluator
+        points = np.array([[1.0, 1.0], [2.0, -1.0], [-3.0, 2.0]])
+        assert evaluator(points).tolist() == [4.0, 19.0, 88.0]
+
+    def test_quartic_matches_power_form(self):
+        theta = np.random.default_rng(5).uniform(-3.0, 3.0, size=(10_000, 2))
+        t1, t2 = theta[:, 0], theta[:, 1]
+        reference = t1**4 + t1 * t1 + t1 * t2 + t2 * t2
+        np.testing.assert_allclose(
+            get_loss("quartic_4_2").evaluator(theta), reference, rtol=1e-15, atol=0.0
+        )
+
 
 class TestProblemConfig:
     def test_validation(self):

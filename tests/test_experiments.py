@@ -8,12 +8,14 @@ from scipy import stats
 from spsa_dist import streams
 from spsa_dist.core import (
     GainSchedule,
+    LossFunction,
     ProblemConfig,
     get_loss,
     sp_gradient,
     standard_normal_from_uniform,
 )
 from spsa_dist.experiments import (
+    DEFAULT_CHUNK_SIZE,
     DivergedRunError,
     ExperimentSpec,
     compare_with_theory,
@@ -93,8 +95,9 @@ class TestRunExperiment:
         assert cmp.mean_diff == 0.0
         assert cmp.p_value == 0.5
 
-    def test_reproducible_and_chunk_invariant(self, quadratic_spec):
-        spec = small_spec(quadratic_spec, k_values=(1, 4), n_reps=3000)
+    @pytest.mark.parametrize("spec_name", ("quadratic_spec", "quartic_spec"))
+    def test_reproducible_and_chunk_invariant(self, request, spec_name):
+        spec = small_spec(request.getfixturevalue(spec_name), k_values=(1, 4), n_reps=3000)
         baseline = run_experiment(spec)
         rerun = run_experiment(spec)
         chunked = run_experiment(spec, chunk_size=997)
@@ -115,8 +118,9 @@ class TestRunExperiment:
                 all_result.squared_errors[(name, 1)], k1_result.squared_errors[(name, 1)]
             )
 
-    def test_replicates_match_scalar_reconstruction(self, quadratic_spec):
-        spec = small_spec(quadratic_spec, k_values=(3,), n_reps=5)
+    @pytest.mark.parametrize("spec_name", ("quadratic_spec", "quartic_spec"))
+    def test_replicates_match_scalar_reconstruction(self, request, spec_name):
+        spec = small_spec(request.getfixturevalue(spec_name), k_values=(3,), n_reps=5)
         result = run_experiment(spec)
         problem = spec.problem
         sigma = math.sqrt(problem.sigma2)
@@ -160,7 +164,7 @@ class TestRunExperiment:
                     theta[name] = theta[name] - schedule.gain_a(k) * grad
             for name in dists:
                 err = theta[name] - np.asarray(problem.theta_star)
-                assert float(err @ err) == result.squared_errors[(name, 3)][replicate]
+                assert float((err * err).sum()) == result.squared_errors[(name, 3)][replicate]
 
     def test_pairing_reduces_variance(self, quadratic_spec):
         spec = small_spec(quadratic_spec, n_reps=20_000)
@@ -183,6 +187,56 @@ class TestRunExperiment:
         assert err.iteration >= 0
         assert str(err.replicate) in str(err)
         assert err.distribution in str(err)
+
+    def test_divergence_names_first_failing_replicate(self, quadratic_spec):
+        # infinite only where both coordinates exceed 1.5: from theta0 = (1, 1)
+        # with c_0 = 1, exactly the rows whose two Bernoulli signs agree reach
+        # (2, 2) at k = 0, and the Bernoulli law steps first
+        def cliff(theta):
+            t1, t2 = theta[..., 0], theta[..., 1]
+            return np.where((t1 > 1.5) & (t2 > 1.5), np.inf, t1 * t1 - t1 * t2 + t2 * t2)
+
+        problem = ProblemConfig(
+            p=2,
+            loss=LossFunction(name="cliff", evaluator=cliff, dimension=2),
+            theta_star=(0.0, 0.0),
+            sigma2=1.0,
+            theta0=(1.0, 1.0),
+        )
+        gains = GainSchedule(a=0.1, c=1.0)
+        spec = replace(
+            quadratic_spec,
+            problem=problem,
+            schedule_su=gains,
+            schedule_bern=gains,
+            k_values=(1,),
+            n_reps=200,
+            master_seed=1,
+        )
+
+        def signs_agree(stream_tag, draws):
+            u = streams.uniform_block(
+                spec.master_seed,
+                stream_tag,
+                n_reps=spec.n_reps,
+                words_per_rep=2 * draws,
+                iteration=0,
+                start=0,
+                stop=spec.n_reps,
+            ).reshape(spec.n_reps, 2, draws)
+            negative = u[..., 0] < 0.5
+            return negative[:, 0] == negative[:, 1]
+
+        first = int(np.argmax(signs_agree(streams.BERNOULLI_STREAM, 1)))
+        # a chunk runs both laws to the end before the next chunk starts, so
+        # the seed is one where no segmented-uniform row before `first` can
+        # reach (2, 2) either
+        assert first > 0 and not signs_agree(streams.SEGMENTED_UNIFORM_STREAM, 2)[:first].any()
+        for chunk_size in (DEFAULT_CHUNK_SIZE, first):
+            with pytest.raises(DivergedRunError) as info:
+                run_experiment(spec, chunk_size=chunk_size)
+            err = info.value
+            assert (err.replicate, err.distribution, err.iteration) == (first, "bernoulli", 0)
 
     def test_reversal_at_long_horizon(self, table2_k1000_result):
         estimates = {e.distribution: e for e in table2_k1000_result.estimates}

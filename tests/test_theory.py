@@ -374,6 +374,18 @@ class TestEvaluateCondition:
         assert report.lhs_explicit > 0.0
         assert report.verdict == BERNOULLI_FAVORED_OR_INCONCLUSIVE
 
+    @pytest.mark.parametrize(
+        "overrides, quadratic",
+        [
+            ({"grad_at_start": (1e200, 1e200)}, True),  # inf - inf = nan
+            ({"a0_su": 1e200}, True),  # float ** overflows
+            ({"third_derivative_bound": 1e300}, False),  # u_bound overflows
+        ],
+    )
+    def test_overflow_raises_instead_of_verdict(self, overrides, quadratic):
+        with pytest.raises(ValueError, match="overflow"):
+            evaluate_condition(reference_input(**overrides), quadratic=quadratic)
+
     def test_text_rendering(self):
         report = evaluate_condition(reference_input(), quadratic=True)
         text = report.to_text()
