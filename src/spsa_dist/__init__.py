@@ -20,7 +20,6 @@ from .core import (
     ProblemConfig,
     SpsaRun,
     get_loss,
-    noisy_eval,
     register_loss,
     registered_losses,
     sp_gradient,
@@ -95,7 +94,6 @@ __all__ = [
     "evaluate_condition",
     "from_name",
     "get_loss",
-    "noisy_eval",
     "one_step_mse_quadratic",
     "paired_t_test",
     "register_loss",

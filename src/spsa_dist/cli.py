@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import theory
-from .config import ConfigError, bundled_config_text, load_config, parse_config
+from .config import bundled_config_text, load_config, parse_config
 from .experiments import DivergedRunError, run_experiment, write_csv
 from .perturbations import from_name
 
@@ -87,19 +87,23 @@ def _build_parser() -> _Parser:
     moments.add_argument("name", help="distribution name: bernoulli or segmented_uniform")
     moments.add_argument("--draws", type=int, default=1_000_000, help="Monte Carlo cross-check size")
     moments.add_argument("--seed", type=int, default=20260813, help="cross-check seed")
+    moments.set_defaults(handler=_cmd_moments)
 
     check = sub.add_parser("check", help="evaluate the one-step MSE comparison condition")
     check.add_argument("config", help="path to a JSON experiment config")
+    check.set_defaults(handler=_cmd_check)
 
     run = sub.add_parser("run", help="run the Monte Carlo experiment from a config")
     run.add_argument("config", help="path to a JSON experiment config")
     run.add_argument("--out", help="output CSV path (overrides the config's 'out')")
+    run.set_defaults(handler=_cmd_run)
 
     reproduce = sub.add_parser("reproduce", help="run a bundled benchmark and compare to reference values")
     reproduce.add_argument("table", choices=("table2", "table3"))
     reproduce.add_argument("--reps", type=int, default=None, help="override replicate counts")
     reproduce.add_argument("--seed", type=int, default=None, help="override the master seed")
     reproduce.add_argument("--out", help="output CSV path (default: <table>.csv)")
+    reproduce.set_defaults(handler=_cmd_reproduce)
     return parser
 
 
@@ -234,19 +238,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "moments":
-            return _cmd_moments(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "reproduce":
-            return _cmd_reproduce(args)
-        raise _UsageError(f"unknown command {args.command!r}")
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ConfigError, ValueError) as exc:
+        return args.handler(args)
+    except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (DivergedRunError, OSError) as exc:

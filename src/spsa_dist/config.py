@@ -125,7 +125,7 @@ def parse_config(text: str, source: str = "<config>") -> CliConfig:
     problem_map = _as_mapping(_require(mapping, "problem", "top level", source), "problem", source)
     _reject_unknown(
         problem_map,
-        ("loss", "dimension", "theta_star", "theta0", "sigma2", "noise"),
+        ("loss", "dimension", "theta_star", "theta0", "sigma2"),
         "problem",
         source,
     )
@@ -146,9 +146,6 @@ def parse_config(text: str, source: str = "<config>") -> CliConfig:
         _require(problem_map, "theta0", "problem", source), "problem.theta0", dimension, source
     )
     sigma2 = _as_number(_require(problem_map, "sigma2", "problem", source), "problem.sigma2", source)
-    noise = problem_map.get("noise", "gaussian")
-    if not isinstance(noise, str):
-        raise ConfigError(f"{source}: problem.noise must be a string")
     try:
         problem = ProblemConfig(
             p=dimension,
@@ -156,7 +153,6 @@ def parse_config(text: str, source: str = "<config>") -> CliConfig:
             theta_star=theta_star,
             sigma2=sigma2,
             theta0=theta0,
-            noise=noise,
         )
     except ValueError as exc:
         raise ConfigError(f"{source}: problem: {exc}") from None
@@ -226,7 +222,6 @@ def dumps_config(config: CliConfig) -> str:
             "theta_star": list(problem.theta_star),
             "theta0": list(problem.theta0),
             "sigma2": problem.sigma2,
-            "noise": problem.noise,
         },
         "gains": {
             "bernoulli": {"a": spec.schedule_bern.a, "c": spec.schedule_bern.c},

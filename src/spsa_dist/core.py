@@ -13,7 +13,7 @@ Gain sequences take the fixed power-law forms
 
 with base constants a, c chosen per problem.
 
-Noise is Gaussian by default. Normals are produced by applying the inverse
+Noise is Gaussian. Normals are produced by applying the inverse
 normal CDF to uniform draws so that every evaluation consumes a fixed number
 of draws; this keeps random streams seekable for the replicated experiment
 harness. Runs are pure functions of (configuration, seed).
@@ -43,7 +43,6 @@ __all__ = [
     "ProblemConfig",
     "SpsaRun",
     "standard_normal_from_uniform",
-    "noisy_eval",
     "sp_gradient",
     "spsa_run",
     "finite_difference_gradient",
@@ -99,22 +98,10 @@ class LossFunction:
 _LOSSES: dict[str, LossFunction] = {}
 
 
-def register_loss(loss: LossFunction, *, stationary_point=None) -> LossFunction:
-    """Add a loss to the registry, optionally checking a claimed minimizer.
-
-    When both an analytic gradient and a stationary point are supplied, the
-    gradient norm at that point must not exceed 1e-9.
-    """
+def register_loss(loss: LossFunction) -> LossFunction:
+    """Add a loss to the registry under its name."""
     if loss.name in _LOSSES:
         raise ValueError(f'loss "{loss.name}" is already registered')
-    if stationary_point is not None and loss.gradient is not None:
-        grad = np.asarray(loss.gradient(np.asarray(stationary_point, dtype=float)))
-        norm = float(np.linalg.norm(grad))
-        if norm > 1e-9:
-            raise ValueError(
-                f'loss "{loss.name}": gradient norm {norm:g} at the claimed '
-                "stationary point exceeds 1e-9"
-            )
     _LOSSES[loss.name] = loss
     return loss
 
@@ -164,7 +151,6 @@ QUADRATIC = register_loss(
         is_quadratic=True,
         dimension=2,
     ),
-    stationary_point=(0.0, 0.0),
 )
 
 QUARTIC = register_loss(
@@ -175,7 +161,6 @@ QUARTIC = register_loss(
         is_quadratic=False,
         dimension=2,
     ),
-    stationary_point=(0.0, 0.0),
 )
 
 
@@ -188,7 +173,6 @@ class ProblemConfig:
     theta_star: tuple[float, ...]
     sigma2: float
     theta0: tuple[float, ...]
-    noise: str = "gaussian"
 
     def __post_init__(self):
         object.__setattr__(self, "theta_star", tuple(float(v) for v in self.theta_star))
@@ -205,8 +189,6 @@ class ProblemConfig:
             )
         if not (math.isfinite(self.sigma2) and self.sigma2 >= 0.0):
             raise ValueError("noise variance sigma2 must be finite and nonnegative")
-        if self.noise != "gaussian":
-            raise ValueError(f'unsupported noise law "{self.noise}" (only "gaussian")')
         if self.loss.gradient is not None:
             norm = float(np.linalg.norm(self.loss.gradient(np.asarray(self.theta_star))))
             if norm > 1e-9:
@@ -224,19 +206,6 @@ def standard_normal_from_uniform(u):
     representable draw.
     """
     return ndtri(np.maximum(u, _MIN_UNIFORM))
-
-
-def noisy_eval(problem: ProblemConfig, theta, rng: np.random.Generator) -> float:
-    """One noisy observation y(theta) = L(theta) + eps, consuming one draw.
-
-    With sigma2 = 0 the returned value is exactly L(theta); the draw is still
-    consumed so stream positions do not depend on the noise level.
-    """
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (problem.p,):
-        raise ValueError(f"theta must have shape ({problem.p},)")
-    eps = math.sqrt(problem.sigma2) * float(standard_normal_from_uniform(rng.random()))
-    return float(problem.loss.evaluator(theta)) + eps
 
 
 def sp_gradient(

@@ -171,8 +171,8 @@ def run_experiment(spec: ExperimentSpec, *, chunk_size: int = DEFAULT_CHUNK_SIZE
     Replicates are processed in chunks of ``chunk_size``; the chunking (and
     any splitting across workers that respects the stream addresses) has no
     effect on the output. A non-finite iterate aborts the whole experiment
-    with a :class:`DivergedRunError` naming the replicate, distribution and
-    iteration: silent dropping would bias the estimates.
+    with a :class:`DivergedRunError` naming the smallest diverging replicate,
+    its first iteration and law: silent dropping would bias the estimates.
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be positive")
@@ -195,6 +195,7 @@ def run_experiment(spec: ExperimentSpec, *, chunk_size: int = DEFAULT_CHUNK_SIZE
         theta = {
             name: np.broadcast_to(theta0, (rows, p)).copy() for name, _, _ in _DISTRIBUTIONS
         }
+        first_bad = None  # per row, the first k * len(_DISTRIBUTIONS) + law index to diverge
         for k in range(k_max):
             u_noise = streams.uniform_block(
                 spec.master_seed,
@@ -206,7 +207,7 @@ def run_experiment(spec: ExperimentSpec, *, chunk_size: int = DEFAULT_CHUNK_SIZE
                 stop=stop,
             )
             eps = sigma * standard_normal_from_uniform(u_noise)
-            for name, dist, stream_tag in _DISTRIBUTIONS:
+            for index, (name, dist, stream_tag) in enumerate(_DISTRIBUTIONS):
                 draws = dist.uniform_draws_per_component
                 u_pert = streams.uniform_block(
                     spec.master_seed,
@@ -225,13 +226,22 @@ def run_experiment(spec: ExperimentSpec, *, chunk_size: int = DEFAULT_CHUNK_SIZE
                     )
                     current = theta[name] - schedule.gain_a(k) * ghat
                 if not np.isfinite(current).all():
-                    bad = int(np.argmin(np.isfinite(current).all(axis=1)))
-                    raise DivergedRunError(start + bad, name, k)
+                    if first_bad is None:
+                        first_bad = np.full(rows, -1)
+                    newly = ~np.isfinite(current).all(axis=1) & (first_bad < 0)
+                    first_bad[newly] = k * len(_DISTRIBUTIONS) + index
+                    if newly[0]:  # no earlier row can diverge, so skip the rest of the chunk
+                        raise DivergedRunError(start, name, k)
                 theta[name] = current
             if (k + 1) in wanted_k:
                 for name, _, _ in _DISTRIBUTIONS:
                     err = theta[name] - theta_star
                     squared_errors[(name, k + 1)][start:stop] = (err * err).sum(axis=1)
+        # earlier chunks ran clean, so the smallest diverged row here is the first overall
+        if first_bad is not None:
+            bad = int(np.flatnonzero(first_bad >= 0)[0])
+            iteration, law = divmod(int(first_bad[bad]), len(_DISTRIBUTIONS))
+            raise DivergedRunError(start + bad, _DISTRIBUTIONS[law][0], iteration)
 
     estimates = []
     comparisons = []
@@ -319,7 +329,7 @@ def render_csv(result: ExperimentResult) -> str:
         f"# theta0 = {', '.join(_format_number(v) for v in problem.theta0)}",
         f"# theta_star = {', '.join(_format_number(v) for v in problem.theta_star)}",
         f"# sigma2 = {_format_number(problem.sigma2)}",
-        f"# noise = {problem.noise}",
+        "# noise = gaussian",
         f"# gain_bernoulli_a = {_format_number(spec.schedule_bern.a)}",
         f"# gain_bernoulli_c = {_format_number(spec.schedule_bern.c)}",
         f"# gain_segmented_uniform_a = {_format_number(spec.schedule_su.a)}",

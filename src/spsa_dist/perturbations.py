@@ -121,15 +121,8 @@ class PerturbationDistribution:
         """
         raise NotImplementedError
 
-    def sample_component(self, rng: np.random.Generator) -> float:
-        return float(self.deltas_from_uniforms(rng.random(self.uniform_draws_per_component)))
-
     def sample_array(self, rng: np.random.Generator, shape) -> np.ndarray:
-        """Sample an array of components, consuming draws in row-major order.
-
-        The draw sequence is identical to repeated :meth:`sample_component`
-        calls, so scalar and vectorized sampling stay stream-compatible.
-        """
+        """:meth:`deltas_from_uniforms` on the next draws of ``rng``, row-major."""
         if isinstance(shape, int):
             shape = (shape,)
         total = int(np.prod(shape, dtype=int)) if shape else 1
@@ -161,11 +154,6 @@ class Bernoulli(PerturbationDistribution):
     def deltas_from_uniforms(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         return np.where(u[..., 0] < 0.5, -1.0, 1.0)
-
-    def density(self, x):
-        raise TypeError(
-            "the bernoulli law is discrete and has a mass function, not a density"
-        )
 
 
 class SegmentedUniform(PerturbationDistribution):

@@ -291,7 +291,10 @@ def condition_input_from_problem(
 ) -> tuple[ConditionInput, str]:
     """Build a ConditionInput from a problem and the two tuned schedules."""
     theta0 = np.asarray(problem.theta0)
-    grad, source = gradient_at(problem.loss, theta0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad, source = gradient_at(problem.loss, theta0)
+    if not np.isfinite(grad).all():
+        raise ValueError(f"gradient at theta0 overflowed to {grad.tolist()}: theta0 too large")
     inp = ConditionInput(
         p=problem.p,
         a0_su=schedule_su.gain_a(0),

@@ -89,8 +89,7 @@ class TestCheck:
                     gradient=lambda t: 2.0 * np.asarray(t, dtype=float),
                     is_quadratic=True,
                     dimension=3,
-                ),
-                stationary_point=(0.0, 0.0, 0.0),
+                )
             )
         doc = small_run_doc()
         doc["problem"].update(
@@ -108,6 +107,14 @@ class TestCheck:
         assert cli.main(["check", str(write_doc(tmp_path, doc))]) == 1
         captured = capsys.readouterr()
         assert "overflow" in captured.err
+        assert "verdict" not in captured.out
+
+    def test_gradient_overflow_exit_code(self, capsys, tmp_path):
+        doc = json.loads(bundled_config_text("quartic"))
+        doc["problem"]["theta0"] = [1e200, 1e200]  # finite, but t1**3 overflows
+        assert cli.main(["check", str(write_doc(tmp_path, doc))]) == 1
+        captured = capsys.readouterr()
+        assert "gradient" in captured.err
         assert "verdict" not in captured.out
 
     def test_missing_file_is_runtime_failure(self, capsys, tmp_path):

@@ -1,15 +1,21 @@
 import json
+import re
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spsa_dist.config import (
     BUNDLED_CONFIGS,
+    CliConfig,
     ConfigError,
     bundled_config_text,
     dumps_config,
     load_config,
     parse_config,
 )
+from spsa_dist.core import GainSchedule, ProblemConfig, get_loss
+from spsa_dist.experiments import ExperimentSpec
 
 
 def quadratic_doc():
@@ -69,6 +75,11 @@ def test_unknown_keys_rejected():
     doc["condition_form"] = "corollary3"
     with pytest.raises(ConfigError, match="unknown key.*'condition_form'"):
         parse_doc(doc)
+    # noise is always Gaussian; there is no noise-law key
+    doc = quadratic_doc()
+    doc["problem"]["noise"] = "gaussian"
+    with pytest.raises(ConfigError, match="unknown key.*'noise'"):
+        parse_doc(doc)
 
 
 def test_missing_keys_rejected():
@@ -122,10 +133,6 @@ def test_semantic_errors():
     with pytest.raises(ConfigError, match="unknown loss"):
         parse_doc(doc)
     doc = quadratic_doc()
-    doc["problem"]["noise"] = "cauchy"
-    with pytest.raises(ConfigError, match="noise"):
-        parse_doc(doc)
-    doc = quadratic_doc()
     doc["problem"]["dimension"] = 3
     doc["problem"]["theta_star"] = [0, 0, 0]
     doc["problem"]["theta0"] = [1, 1, 1]
@@ -172,3 +179,86 @@ def test_load_config_reads_files(tmp_path):
     cfg = load_config(path)
     assert cfg.experiment.problem.loss.name == "quartic_4_2"
     assert str(path) not in dumps_config(cfg)  # source path is not part of the experiment spec
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+nonnegative = st.floats(min_value=0.0, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+gains = st.builds(GainSchedule, a=nonnegative, c=positive)
+
+valid_configs = st.builds(
+    CliConfig,
+    experiment=st.builds(
+        ExperimentSpec,
+        problem=st.builds(
+            ProblemConfig,
+            p=st.just(2),
+            loss=st.sampled_from(["quadratic_4_1", "quartic_4_2"]).map(get_loss),
+            theta_star=st.just((0.0, 0.0)),
+            sigma2=nonnegative,
+            theta0=st.tuples(finite, finite),
+        ),
+        schedule_su=gains,
+        schedule_bern=gains,
+        k_values=st.sets(st.integers(1, 10**6), min_size=1, max_size=5).map(sorted),
+        n_reps=st.integers(2, 10**9),
+        master_seed=st.integers(0, 2**64 - 1),
+    ),
+    third_derivative_bound=st.none() | nonnegative,
+    out=st.none() | st.text(),
+)
+
+# numeric leaves of a config document, as (path in the error, key path)
+NUMERIC_PATHS = [
+    ("problem.theta0[0]", ("problem", "theta0", 0)),
+    ("problem.theta_star[1]", ("problem", "theta_star", 1)),
+    ("problem.sigma2", ("problem", "sigma2")),
+    ("gains.bernoulli.a", ("gains", "bernoulli", "a")),
+    ("gains.segmented_uniform.c", ("gains", "segmented_uniform", "c")),
+    ("third_derivative_bound", ("third_derivative_bound",)),
+]
+
+# objects of a config document, with the keys each allows
+OBJECTS = [
+    ((), ("problem", "gains", "k_values", "n_reps", "master_seed", "third_derivative_bound", "out")),
+    (("problem",), ("loss", "dimension", "theta_star", "theta0", "sigma2")),
+    (("gains",), ("bernoulli", "segmented_uniform")),
+    (("gains", "bernoulli"), ("a", "c")),
+]
+
+
+def _node(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_configs)
+def test_round_trip_property(cfg):
+    assert parse_config(dumps_config(cfg), source="test") == cfg
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(NUMERIC_PATHS),
+    st.sampled_from(["NaN", "Infinity", "-Infinity", "1e999", "-1e999"]),
+)
+def test_non_finite_numbers_rejected(target, literal):
+    label, path = target
+    doc = quadratic_doc()
+    _node(doc, path[:-1])[path[-1]] = "NON_FINITE"
+    text = json.dumps(doc).replace('"NON_FINITE"', literal)
+    with pytest.raises(ConfigError, match=f"{re.escape(label)} must be finite"):
+        parse_config(text, source="test")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(OBJECTS), st.text(min_size=1) | st.just("noise"), st.integers() | st.text())
+def test_unknown_keys_rejected_property(target, key, value):
+    path, allowed = target
+    assume(key not in allowed)
+    doc = quadratic_doc()
+    _node(doc, path)[key] = value
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_doc(doc)

@@ -32,6 +32,51 @@ def small_spec(quadratic_spec, *, k_values=(1,), n_reps=2000, **overrides):
     return replace(quadratic_spec, k_values=k_values, n_reps=n_reps, **overrides)
 
 
+def cliff_spec(quadratic_spec, *, master_seed):
+    """One step from (1, 1) with c_0 = 1 on a loss that is infinite where both
+    coordinates exceed 1.5, so a row diverges iff both components of its
+    perturbation exceed 0.5 in magnitude with the same sign.
+    """
+
+    def cliff(theta):
+        t1, t2 = theta[..., 0], theta[..., 1]
+        return np.where((t1 > 1.5) & (t2 > 1.5), np.inf, t1 * t1 - t1 * t2 + t2 * t2)
+
+    problem = ProblemConfig(
+        p=2,
+        loss=LossFunction(name="cliff", evaluator=cliff, dimension=2),
+        theta_star=(0.0, 0.0),
+        sigma2=1.0,
+        theta0=(1.0, 1.0),
+    )
+    gains = GainSchedule(a=0.1, c=1.0)
+    return replace(
+        quadratic_spec,
+        problem=problem,
+        schedule_su=gains,
+        schedule_bern=gains,
+        k_values=(1,),
+        n_reps=200,
+        master_seed=master_seed,
+    )
+
+
+def diverging_rows(spec, dist, stream_tag):
+    """Replicates whose first step under ``dist`` hits the cliff of :func:`cliff_spec`."""
+    draws = dist.uniform_draws_per_component
+    u = streams.uniform_block(
+        spec.master_seed,
+        stream_tag,
+        n_reps=spec.n_reps,
+        words_per_rep=2 * draws,
+        iteration=0,
+        start=0,
+        stop=spec.n_reps,
+    ).reshape(spec.n_reps, 2, draws)
+    delta = dist.deltas_from_uniforms(u)
+    return np.flatnonzero((delta > 0.5).all(axis=1) | (delta < -0.5).all(axis=1))
+
+
 class TestPairedTTest:
     def test_constant_positive_diffs(self):
         res = paired_t_test((1.0, 1.0, 1.0, 1.0))
@@ -189,54 +234,30 @@ class TestRunExperiment:
         assert err.distribution in str(err)
 
     def test_divergence_names_first_failing_replicate(self, quadratic_spec):
-        # infinite only where both coordinates exceed 1.5: from theta0 = (1, 1)
-        # with c_0 = 1, exactly the rows whose two Bernoulli signs agree reach
-        # (2, 2) at k = 0, and the Bernoulli law steps first
-        def cliff(theta):
-            t1, t2 = theta[..., 0], theta[..., 1]
-            return np.where((t1 > 1.5) & (t2 > 1.5), np.inf, t1 * t1 - t1 * t2 + t2 * t2)
-
-        problem = ProblemConfig(
-            p=2,
-            loss=LossFunction(name="cliff", evaluator=cliff, dimension=2),
-            theta_star=(0.0, 0.0),
-            sigma2=1.0,
-            theta0=(1.0, 1.0),
-        )
-        gains = GainSchedule(a=0.1, c=1.0)
-        spec = replace(
-            quadratic_spec,
-            problem=problem,
-            schedule_su=gains,
-            schedule_bern=gains,
-            k_values=(1,),
-            n_reps=200,
-            master_seed=1,
-        )
-
-        def signs_agree(stream_tag, draws):
-            u = streams.uniform_block(
-                spec.master_seed,
-                stream_tag,
-                n_reps=spec.n_reps,
-                words_per_rep=2 * draws,
-                iteration=0,
-                start=0,
-                stop=spec.n_reps,
-            ).reshape(spec.n_reps, 2, draws)
-            negative = u[..., 0] < 0.5
-            return negative[:, 0] == negative[:, 1]
-
-        first = int(np.argmax(signs_agree(streams.BERNOULLI_STREAM, 1)))
-        # a chunk runs both laws to the end before the next chunk starts, so
-        # the seed is one where no segmented-uniform row before `first` can
-        # reach (2, 2) either
-        assert first > 0 and not signs_agree(streams.SEGMENTED_UNIFORM_STREAM, 2)[:first].any()
-        for chunk_size in (DEFAULT_CHUNK_SIZE, first):
+        spec = cliff_spec(quadratic_spec, master_seed=1)
+        first = int(diverging_rows(spec, BERNOULLI, streams.BERNOULLI_STREAM)[0])
+        # the smallest diverging replicate is reported, and the Bernoulli law
+        # steps first, so the seed is one where no segmented-uniform row before
+        # `first` diverges
+        assert first > 0
+        assert diverging_rows(spec, SEGMENTED_UNIFORM, streams.SEGMENTED_UNIFORM_STREAM)[0] >= first
+        for chunk_size in (DEFAULT_CHUNK_SIZE, first, 5, 1):
             with pytest.raises(DivergedRunError) as info:
                 run_experiment(spec, chunk_size=chunk_size)
             err = info.value
             assert (err.replicate, err.distribution, err.iteration) == (first, "bernoulli", 0)
+
+    def test_divergence_report_ignores_chunking(self, quadratic_spec):
+        # replicate 1 diverges under the segmented uniform and replicate 5 under
+        # the Bernoulli law, so a chunk holding both must still name 1
+        spec = cliff_spec(quadratic_spec, master_seed=6)
+        assert diverging_rows(spec, SEGMENTED_UNIFORM, streams.SEGMENTED_UNIFORM_STREAM)[0] == 1
+        assert diverging_rows(spec, BERNOULLI, streams.BERNOULLI_STREAM)[0] == 5
+        for chunk_size in (DEFAULT_CHUNK_SIZE, 5, 1):
+            with pytest.raises(DivergedRunError) as info:
+                run_experiment(spec, chunk_size=chunk_size)
+            err = info.value
+            assert (err.replicate, err.distribution, err.iteration) == (1, "segmented_uniform", 0)
 
     def test_reversal_at_long_horizon(self, table2_k1000_result):
         estimates = {e.distribution: e for e in table2_k1000_result.estimates}

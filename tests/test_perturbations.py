@@ -68,11 +68,6 @@ def test_density_values():
     assert su.density(0.2) == 0.0  # inside the gap
 
 
-def test_density_is_error_for_bernoulli():
-    with pytest.raises(TypeError):
-        BERNOULLI.density(1.0)
-
-
 def test_density_normalization_quadrature():
     su = SEGMENTED_UNIFORM
     total, _ = integrate.quad(
@@ -154,11 +149,9 @@ def test_sign_symmetry_ks(dist):
 
 @pytest.mark.parametrize("dist", BOTH, ids=lambda d: d.name)
 def test_scalar_and_vector_sampling_align(dist):
-    rng_scalar = np.random.default_rng(16)
-    rng_vector = np.random.default_rng(16)
-    scalars = [dist.sample_component(rng_scalar) for _ in range(8)]
-    vector = dist.sample_array(rng_vector, 8)
-    assert np.array_equal(np.asarray(scalars), vector)
+    uniforms = np.random.default_rng(16).random((8, dist.uniform_draws_per_component))
+    vector = dist.sample_array(np.random.default_rng(16), 8)
+    assert np.array_equal(dist.deltas_from_uniforms(uniforms), vector)
 
 
 @pytest.mark.parametrize("dist", BOTH, ids=lambda d: d.name)
