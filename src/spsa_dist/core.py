@@ -261,16 +261,12 @@ def spsa_run(
     dist,
     k_max: int,
     rng: np.random.Generator,
-    *,
-    noise_rng: np.random.Generator | None = None,
 ) -> SpsaRun:
     """Run the optimizer for k_max iterations, returning the full trajectory.
 
     Per-iteration random consumption order is fixed: the p perturbation
     components (each consuming the distribution's fixed number of uniforms),
-    then the uniforms behind eps_plus and eps_minus, in that order. When
-    ``noise_rng`` is given, the noise draws come from it instead of ``rng``,
-    which lets paired experiments share a noise stream across distributions.
+    then the uniforms behind eps_plus and eps_minus, in that order.
     """
     gate = validate_for_spsa(dist.properties())
     if not gate.valid:
@@ -279,7 +275,6 @@ def spsa_run(
         )
     if k_max < 1:
         raise ValueError("k_max must be a positive integer")
-    noise = noise_rng if noise_rng is not None else rng
     sigma = math.sqrt(problem.sigma2)
     theta = np.asarray(problem.theta0, dtype=float)
     trajectory = np.full((k_max + 1, problem.p), np.nan)
@@ -287,7 +282,7 @@ def spsa_run(
     n_evals = 0
     for k in range(k_max):
         delta = dist.sample_array(rng, problem.p)
-        eps_plus, eps_minus = sigma * standard_normal_from_uniform(noise.random(2))
+        eps_plus, eps_minus = sigma * standard_normal_from_uniform(rng.random(2))
         with np.errstate(over="ignore", invalid="ignore"):
             grad = sp_gradient(problem, theta, schedule.gain_c(k), delta, eps_plus, eps_minus)
             theta = theta - schedule.gain_a(k) * grad

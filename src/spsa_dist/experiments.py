@@ -28,7 +28,7 @@ from .core import ProblemConfig, GainSchedule, sp_gradient, standard_normal_from
 from .perturbations import BERNOULLI, SEGMENTED_UNIFORM, PerturbationDistribution
 
 __all__ = [
-    "DEFAULT_CHUNK_SIZE",
+    "CHUNK_SIZE",
     "PAIRING_NOTE",
     "T_TEST_NOTE",
     "ExperimentSpec",
@@ -45,15 +45,15 @@ __all__ = [
     "write_csv",
 ]
 
-DEFAULT_CHUNK_SIZE = 1 << 18
+CHUNK_SIZE = 1 << 18
 
 PAIRING_NOTE = "shared noise stream per replicate; independent perturbation streams"
 T_TEST_NOTE = "one-sided matched pairs; H1: mse(bernoulli) > mse(segmented_uniform)"
 
 # Fixed processing order; also the row order of the output tables.
-_DISTRIBUTIONS: tuple[tuple[str, PerturbationDistribution, int], ...] = (
-    ("bernoulli", BERNOULLI, streams.BERNOULLI_STREAM),
-    ("segmented_uniform", SEGMENTED_UNIFORM, streams.SEGMENTED_UNIFORM_STREAM),
+_DISTRIBUTIONS: tuple[tuple[PerturbationDistribution, int], ...] = (
+    (BERNOULLI, streams.BERNOULLI_STREAM),
+    (SEGMENTED_UNIFORM, streams.SEGMENTED_UNIFORM_STREAM),
 )
 
 
@@ -165,17 +165,16 @@ def paired_t_test(diffs) -> TTestResult:
     return TTestResult(t_stat=t_stat, p_value=p_value)
 
 
-def run_experiment(spec: ExperimentSpec, *, chunk_size: int = DEFAULT_CHUNK_SIZE) -> ExperimentResult:
+def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Estimate the MSE of both laws at every requested k, with pairing.
 
-    Replicates are processed in chunks of ``chunk_size``; the chunking (and
-    any splitting across workers that respects the stream addresses) has no
-    effect on the output. A non-finite iterate aborts the whole experiment
-    with a :class:`DivergedRunError` naming the smallest diverging replicate,
-    its first iteration and law: silent dropping would bias the estimates.
+    Replicates are processed in chunks of :data:`CHUNK_SIZE`; since every draw
+    has an absolute stream address, the chunking (and any splitting across
+    workers) has no effect on the output. A non-finite iterate aborts the
+    whole experiment with a :class:`DivergedRunError` naming the smallest
+    diverging replicate, its first iteration and law: silent dropping would
+    bias the estimates.
     """
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be positive")
     problem = spec.problem
     p = problem.p
     n = spec.n_reps
@@ -186,16 +185,16 @@ def run_experiment(spec: ExperimentSpec, *, chunk_size: int = DEFAULT_CHUNK_SIZE
     wanted_k = set(spec.k_values)
 
     squared_errors = {
-        (name, k): np.empty(n) for name, _, _ in _DISTRIBUTIONS for k in spec.k_values
+        (dist.name, k): np.empty(n) for dist, _ in _DISTRIBUTIONS for k in spec.k_values
     }
 
-    for start in range(0, n, chunk_size):
-        stop = min(start + chunk_size, n)
-        rows = stop - start
+    for start in range(0, n, CHUNK_SIZE):
+        stop = min(start + CHUNK_SIZE, n)
         theta = {
-            name: np.broadcast_to(theta0, (rows, p)).copy() for name, _, _ in _DISTRIBUTIONS
+            dist.name: np.broadcast_to(theta0, (stop - start, p)).copy()
+            for dist, _ in _DISTRIBUTIONS
         }
-        first_bad = None  # per row, the first k * len(_DISTRIBUTIONS) + law index to diverge
+        diverged = None
         for k in range(k_max):
             u_noise = streams.uniform_block(
                 spec.master_seed,
@@ -207,7 +206,7 @@ def run_experiment(spec: ExperimentSpec, *, chunk_size: int = DEFAULT_CHUNK_SIZE
                 stop=stop,
             )
             eps = sigma * standard_normal_from_uniform(u_noise)
-            for index, (name, dist, stream_tag) in enumerate(_DISTRIBUTIONS):
+            for dist, stream_tag in _DISTRIBUTIONS:
                 draws = dist.uniform_draws_per_component
                 u_pert = streams.uniform_block(
                     spec.master_seed,
@@ -218,39 +217,40 @@ def run_experiment(spec: ExperimentSpec, *, chunk_size: int = DEFAULT_CHUNK_SIZE
                     start=start,
                     stop=stop,
                 )
-                delta = dist.deltas_from_uniforms(u_pert.reshape(rows, p, draws))
-                schedule = spec.schedule_for(name)
+                delta = dist.deltas_from_uniforms(u_pert.reshape(stop - start, p, draws))
+                schedule = spec.schedule_for(dist.name)
                 with np.errstate(over="ignore", invalid="ignore"):
                     ghat = sp_gradient(
-                        problem, theta[name], schedule.gain_c(k), delta, eps[:, 0], eps[:, 1]
+                        problem, theta[dist.name], schedule.gain_c(k), delta, eps[:, 0], eps[:, 1]
                     )
-                    current = theta[name] - schedule.gain_a(k) * ghat
+                    current = theta[dist.name] - schedule.gain_a(k) * ghat
                 if not np.isfinite(current).all():
-                    if first_bad is None:
-                        first_bad = np.full(rows, -1)
-                    newly = ~np.isfinite(current).all(axis=1) & (first_bad < 0)
-                    first_bad[newly] = k * len(_DISTRIBUTIONS) + index
-                    if newly[0]:  # no earlier row can diverge, so skip the rest of the chunk
-                        raise DivergedRunError(start, name, k)
-                theta[name] = current
+                    r = int(np.flatnonzero(~np.isfinite(current).all(axis=1))[0])
+                    diverged = DivergedRunError(start + r, dist.name, k)
+                    if r == 0:
+                        raise diverged
+                    # only rows before r can still be the first to diverge
+                    stop = start + r
+                    theta = {name: rows[:r] for name, rows in theta.items()}
+                    current = current[:r]
+                    eps = eps[:r]
+                theta[dist.name] = current
             if (k + 1) in wanted_k:
-                for name, _, _ in _DISTRIBUTIONS:
-                    err = theta[name] - theta_star
+                for name, rows in theta.items():
+                    err = rows - theta_star
                     squared_errors[(name, k + 1)][start:stop] = (err * err).sum(axis=1)
-        # earlier chunks ran clean, so the smallest diverged row here is the first overall
-        if first_bad is not None:
-            bad = int(np.flatnonzero(first_bad >= 0)[0])
-            iteration, law = divmod(int(first_bad[bad]), len(_DISTRIBUTIONS))
-            raise DivergedRunError(start + bad, _DISTRIBUTIONS[law][0], iteration)
+        # earlier chunks ran clean, so this is the smallest diverging replicate
+        if diverged is not None:
+            raise diverged
 
     estimates = []
     comparisons = []
     for k in spec.k_values:
-        for name, _, _ in _DISTRIBUTIONS:
-            se = squared_errors[(name, k)]
+        for dist, _ in _DISTRIBUTIONS:
+            se = squared_errors[(dist.name, k)]
             estimates.append(
                 MseEstimate(
-                    distribution=name,
+                    distribution=dist.name,
                     k=k,
                     mse=float(se.mean()),
                     std_error=float(se.std(ddof=1) / math.sqrt(n)),

@@ -258,24 +258,18 @@ class TestSpsaRun:
         assert calls == 14
         assert run.n_loss_evals == 14
 
-    def test_split_noise_stream_reconstruction(self):
+    def test_single_stream_reconstruction(self):
+        # per iteration: p components of two uniforms each, then the two
+        # uniforms behind eps_plus and eps_minus, all from the one generator
         problem = quadratic_problem(sigma2=1.0)
         schedule = GainSchedule(a=0.01897, c=0.1)
-        run = spsa_run(
-            problem,
-            schedule,
-            SEGMENTED_UNIFORM,
-            5,
-            np.random.default_rng(7),
-            noise_rng=np.random.default_rng(8),
-        )
-        pert = np.random.default_rng(7)
-        noise = np.random.default_rng(8)
+        run = spsa_run(problem, schedule, SEGMENTED_UNIFORM, 5, np.random.default_rng(7))
+        rng = np.random.default_rng(7)
         theta = np.array([0.3, 0.3])
         for k in range(5):
-            delta = SEGMENTED_UNIFORM.sample_array(pert, 2)
-            eps_plus = float(core.standard_normal_from_uniform(noise.random()))
-            eps_minus = float(core.standard_normal_from_uniform(noise.random()))
+            delta = SEGMENTED_UNIFORM.deltas_from_uniforms(rng.random((2, 2)))
+            eps_plus = float(core.standard_normal_from_uniform(rng.random()))
+            eps_minus = float(core.standard_normal_from_uniform(rng.random()))
             grad = sp_gradient(problem, theta, schedule.gain_c(k), delta, eps_plus, eps_minus)
             theta = theta - schedule.gain_a(k) * grad
             assert np.array_equal(theta, run.trajectory[k + 1])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from spsa_dist import streams
+from spsa_dist import experiments, streams
 from spsa_dist.core import (
     GainSchedule,
     LossFunction,
@@ -15,7 +15,7 @@ from spsa_dist.core import (
     standard_normal_from_uniform,
 )
 from spsa_dist.experiments import (
-    DEFAULT_CHUNK_SIZE,
+    CHUNK_SIZE,
     DivergedRunError,
     ExperimentSpec,
     compare_with_theory,
@@ -61,20 +61,37 @@ def cliff_spec(quadratic_spec, *, master_seed):
     )
 
 
-def diverging_rows(spec, dist, stream_tag):
-    """Replicates whose first step under ``dist`` hits the cliff of :func:`cliff_spec`."""
+def diverging_rows(spec, dist, stream_tag, iteration=0):
+    """Replicates whose step at ``iteration`` under ``dist`` hits the cliff of
+    :func:`cliff_spec`, given that their iterate is still at theta0 = (1, 1).
+    """
     draws = dist.uniform_draws_per_component
     u = streams.uniform_block(
         spec.master_seed,
         stream_tag,
         n_reps=spec.n_reps,
         words_per_rep=2 * draws,
-        iteration=0,
+        iteration=iteration,
         start=0,
         stop=spec.n_reps,
     ).reshape(spec.n_reps, 2, draws)
     delta = dist.deltas_from_uniforms(u)
-    return np.flatnonzero((delta > 0.5).all(axis=1) | (delta < -0.5).all(axis=1))
+    reach = 0.5 / spec.schedule_for(dist.name).gain_c(iteration)
+    return np.flatnonzero((delta > reach).all(axis=1) | (delta < -reach).all(axis=1))
+
+
+def frozen_cliff_spec(quadratic_spec):
+    """:func:`cliff_spec` with a zero step gain, so every iterate stays at theta0
+    and a row diverges at iteration k iff its perturbation there reaches the
+    cliff; c_0 = 0.52 lets the Bernoulli law reach it at k = 0 only.
+    """
+    frozen = GainSchedule(a=0.0, c=0.52)
+    return replace(
+        cliff_spec(quadratic_spec, master_seed=36),
+        schedule_su=frozen,
+        schedule_bern=frozen,
+        k_values=(8,),
+    )
 
 
 class TestPairedTTest:
@@ -141,12 +158,14 @@ class TestRunExperiment:
         assert cmp.p_value == 0.5
 
     @pytest.mark.parametrize("spec_name", ("quadratic_spec", "quartic_spec"))
-    def test_reproducible_and_chunk_invariant(self, request, spec_name):
+    def test_reproducible_and_chunk_invariant(self, request, spec_name, monkeypatch):
         spec = small_spec(request.getfixturevalue(spec_name), k_values=(1, 4), n_reps=3000)
         baseline = run_experiment(spec)
         rerun = run_experiment(spec)
-        chunked = run_experiment(spec, chunk_size=997)
-        tiny_chunks = run_experiment(spec, chunk_size=100)
+        monkeypatch.setattr(experiments, "CHUNK_SIZE", 997)
+        chunked = run_experiment(spec)
+        monkeypatch.setattr(experiments, "CHUNK_SIZE", 100)
+        tiny_chunks = run_experiment(spec)
         for key, values in baseline.squared_errors.items():
             assert np.array_equal(values, rerun.squared_errors[key])
             assert np.array_equal(values, chunked.squared_errors[key])
@@ -233,7 +252,7 @@ class TestRunExperiment:
         assert str(err.replicate) in str(err)
         assert err.distribution in str(err)
 
-    def test_divergence_names_first_failing_replicate(self, quadratic_spec):
+    def test_divergence_names_first_failing_replicate(self, quadratic_spec, monkeypatch):
         spec = cliff_spec(quadratic_spec, master_seed=1)
         first = int(diverging_rows(spec, BERNOULLI, streams.BERNOULLI_STREAM)[0])
         # the smallest diverging replicate is reported, and the Bernoulli law
@@ -241,23 +260,64 @@ class TestRunExperiment:
         # `first` diverges
         assert first > 0
         assert diverging_rows(spec, SEGMENTED_UNIFORM, streams.SEGMENTED_UNIFORM_STREAM)[0] >= first
-        for chunk_size in (DEFAULT_CHUNK_SIZE, first, 5, 1):
+        for chunk_size in (CHUNK_SIZE, first, 5, 1):
+            monkeypatch.setattr(experiments, "CHUNK_SIZE", chunk_size)
             with pytest.raises(DivergedRunError) as info:
-                run_experiment(spec, chunk_size=chunk_size)
+                run_experiment(spec)
             err = info.value
             assert (err.replicate, err.distribution, err.iteration) == (first, "bernoulli", 0)
 
-    def test_divergence_report_ignores_chunking(self, quadratic_spec):
+    def test_divergence_report_ignores_chunking(self, quadratic_spec, monkeypatch):
         # replicate 1 diverges under the segmented uniform and replicate 5 under
         # the Bernoulli law, so a chunk holding both must still name 1
         spec = cliff_spec(quadratic_spec, master_seed=6)
         assert diverging_rows(spec, SEGMENTED_UNIFORM, streams.SEGMENTED_UNIFORM_STREAM)[0] == 1
         assert diverging_rows(spec, BERNOULLI, streams.BERNOULLI_STREAM)[0] == 5
-        for chunk_size in (DEFAULT_CHUNK_SIZE, 5, 1):
+        for chunk_size in (CHUNK_SIZE, 5, 1):
+            monkeypatch.setattr(experiments, "CHUNK_SIZE", chunk_size)
             with pytest.raises(DivergedRunError) as info:
-                run_experiment(spec, chunk_size=chunk_size)
+                run_experiment(spec)
             err = info.value
             assert (err.replicate, err.distribution, err.iteration) == (1, "segmented_uniform", 0)
+
+    def test_divergence_names_smaller_replicate_failing_later(self, quadratic_spec, monkeypatch):
+        spec = frozen_cliff_spec(quadratic_spec)
+        hits = {
+            (k, dist.name): set(diverging_rows(spec, dist, tag, iteration=k).tolist())
+            for k in range(spec.k_values[-1])
+            for dist, tag in (
+                (BERNOULLI, streams.BERNOULLI_STREAM),
+                (SEGMENTED_UNIFORM, streams.SEGMENTED_UNIFORM_STREAM),
+            )
+        }
+        # replicate 3 reaches the cliff at k = 0, replicate 2 first at k = 5,
+        # and replicates 0 and 1 never do
+        assert 3 in hits[(0, "bernoulli")]
+        assert [key for key, rows in hits.items() if 2 in rows] == [(5, "segmented_uniform")]
+        assert not any(rows & {0, 1} for rows in hits.values())
+        for chunk_size in (CHUNK_SIZE, 5, 1):
+            monkeypatch.setattr(experiments, "CHUNK_SIZE", chunk_size)
+            with pytest.raises(DivergedRunError) as info:
+                run_experiment(spec)
+            err = info.value
+            assert (err.replicate, err.distribution, err.iteration) == (2, "segmented_uniform", 5)
+
+    def test_rows_after_a_divergence_are_not_evaluated(self, quadratic_spec):
+        spec = frozen_cliff_spec(quadratic_spec)
+        cliff = spec.problem.loss.evaluator
+        batch_rows = []
+
+        def counting(theta):
+            batch_rows.append(len(theta))
+            return cliff(theta)
+
+        loss = LossFunction(name="counting_cliff", evaluator=counting, dimension=2)
+        with pytest.raises(DivergedRunError):
+            run_experiment(replace(spec, problem=replace(spec.problem, loss=loss)))
+        # two evaluations per law and iteration: all rows until replicate 3
+        # diverges (k = 0, Bernoulli), rows 0-2 until replicate 2 does (k = 5,
+        # segmented uniform), then rows 0-1 to k = 8
+        assert batch_rows == [spec.n_reps] * 2 + [3] * (2 + 4 * 5) + [2] * (4 * 2)
 
     def test_reversal_at_long_horizon(self, table2_k1000_result):
         estimates = {e.distribution: e for e in table2_k1000_result.estimates}
