@@ -42,13 +42,10 @@ from .perturbations import (
     DISTRIBUTIONS,
     SEGMENTED_UNIFORM,
     Bernoulli,
-    DistributionProperties,
     MomentSet,
     PerturbationDistribution,
     SegmentedUniform,
-    ValidityResult,
     from_name,
-    validate_for_spsa,
 )
 from .theory import (
     ConditionInput,
@@ -70,7 +67,6 @@ __all__ = [
     "ConditionInput",
     "ConditionReport",
     "DISTRIBUTIONS",
-    "DistributionProperties",
     "DivergedRunError",
     "ExperimentResult",
     "ExperimentSpec",
@@ -86,7 +82,6 @@ __all__ = [
     "SegmentedUniform",
     "SpsaRun",
     "TheoryComparison",
-    "ValidityResult",
     "check_remark2",
     "compare_with_theory",
     "condition_lhs_explicit",
@@ -102,6 +97,5 @@ __all__ = [
     "sp_gradient",
     "spsa_run",
     "u_bound",
-    "validate_for_spsa",
     "write_csv",
 ]

@@ -11,7 +11,8 @@ Subcommands:
 * ``reproduce <table2|table3>``: run a bundled benchmark config and print the
   measured MSE table next to the stored reference values.
 
-Exit codes: 0 success, 1 usage or config error, 2 runtime failure.
+Exit codes: 0 success, 1 usage or config error, 2 runtime failure (a
+diverged run, an I/O error, or an allocation the machine refuses).
 """
 
 from __future__ import annotations
@@ -242,7 +243,7 @@ def main(argv=None) -> int:
     except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DivergedRunError, OSError) as exc:
+    except (DivergedRunError, OSError, MemoryError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
 

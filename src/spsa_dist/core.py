@@ -28,8 +28,6 @@ from typing import Callable
 import numpy as np
 from scipy.special import ndtri
 
-from .perturbations import validate_for_spsa
-
 __all__ = [
     "GAIN_EXPONENT_A",
     "GAIN_EXPONENT_C",
@@ -266,13 +264,9 @@ def spsa_run(
 
     Per-iteration random consumption order is fixed: the p perturbation
     components (each consuming the distribution's fixed number of uniforms),
-    then the uniforms behind eps_plus and eps_minus, in that order.
+    then the uniforms behind eps_plus and eps_minus, in that order. ``dist``
+    only needs a ``sample_array(rng, shape)`` method.
     """
-    gate = validate_for_spsa(dist.properties())
-    if not gate.valid:
-        raise ValueError(
-            "distribution fails the SPSA validity gate: " + "; ".join(gate.violations)
-        )
     if k_max < 1:
         raise ValueError("k_max must be a positive integer")
     sigma = math.sqrt(problem.sigma2)

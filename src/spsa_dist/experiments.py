@@ -25,7 +25,7 @@ from scipy import stats
 
 from . import streams, theory
 from .core import ProblemConfig, GainSchedule, sp_gradient, standard_normal_from_uniform
-from .perturbations import BERNOULLI, SEGMENTED_UNIFORM, PerturbationDistribution
+from .perturbations import BERNOULLI, SEGMENTED_UNIFORM
 
 __all__ = [
     "CHUNK_SIZE",
@@ -49,12 +49,6 @@ CHUNK_SIZE = 1 << 18
 
 PAIRING_NOTE = "shared noise stream per replicate; independent perturbation streams"
 T_TEST_NOTE = "one-sided matched pairs; H1: mse(bernoulli) > mse(segmented_uniform)"
-
-# Fixed processing order; also the row order of the output tables.
-_DISTRIBUTIONS: tuple[tuple[PerturbationDistribution, int], ...] = (
-    (BERNOULLI, streams.BERNOULLI_STREAM),
-    (SEGMENTED_UNIFORM, streams.SEGMENTED_UNIFORM_STREAM),
-)
 
 
 class DivergedRunError(RuntimeError):
@@ -90,9 +84,6 @@ class ExperimentSpec:
             raise ValueError("n_reps must be at least 2 (the t-test needs a variance)")
         if not 0 <= self.master_seed < 2**64:
             raise ValueError("master_seed must be a 64-bit nonnegative integer")
-
-    def schedule_for(self, distribution: str) -> GainSchedule:
-        return self.schedule_su if distribution == "segmented_uniform" else self.schedule_bern
 
 
 @dataclass(frozen=True)
@@ -175,6 +166,11 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     diverging replicate, its first iteration and law: silent dropping would
     bias the estimates.
     """
+    # Fixed processing order; also the row order of the output tables.
+    laws = (
+        (BERNOULLI, streams.BERNOULLI_STREAM, spec.schedule_bern),
+        (SEGMENTED_UNIFORM, streams.SEGMENTED_UNIFORM_STREAM, spec.schedule_su),
+    )
     problem = spec.problem
     p = problem.p
     n = spec.n_reps
@@ -185,14 +181,13 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     wanted_k = set(spec.k_values)
 
     squared_errors = {
-        (dist.name, k): np.empty(n) for dist, _ in _DISTRIBUTIONS for k in spec.k_values
+        (dist.name, k): np.empty(n) for dist, _, _ in laws for k in spec.k_values
     }
 
     for start in range(0, n, CHUNK_SIZE):
         stop = min(start + CHUNK_SIZE, n)
         theta = {
-            dist.name: np.broadcast_to(theta0, (stop - start, p)).copy()
-            for dist, _ in _DISTRIBUTIONS
+            dist.name: np.broadcast_to(theta0, (stop - start, p)).copy() for dist, _, _ in laws
         }
         diverged = None
         for k in range(k_max):
@@ -206,7 +201,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                 stop=stop,
             )
             eps = sigma * standard_normal_from_uniform(u_noise)
-            for dist, stream_tag in _DISTRIBUTIONS:
+            for dist, stream_tag, schedule in laws:
                 draws = dist.uniform_draws_per_component
                 u_pert = streams.uniform_block(
                     spec.master_seed,
@@ -218,7 +213,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                     stop=stop,
                 )
                 delta = dist.deltas_from_uniforms(u_pert.reshape(stop - start, p, draws))
-                schedule = spec.schedule_for(dist.name)
                 with np.errstate(over="ignore", invalid="ignore"):
                     ghat = sp_gradient(
                         problem, theta[dist.name], schedule.gain_c(k), delta, eps[:, 0], eps[:, 1]
@@ -246,7 +240,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     estimates = []
     comparisons = []
     for k in spec.k_values:
-        for dist, _ in _DISTRIBUTIONS:
+        for dist, _, _ in laws:
             se = squared_errors[(dist.name, k)]
             estimates.append(
                 MseEstimate(

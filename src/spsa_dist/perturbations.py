@@ -14,7 +14,7 @@ Both laws keep probability mass away from zero, so the inverse second moment
 E[1/X^2] is finite: 1 for the Bernoulli and 100/61 for the segmented uniform
 (INNER * OUTER = 61/100 in closed form).  That property, together with
 symmetry and bounded support, is what makes a law admissible as an SPSA
-perturbation distribution; see :func:`validate_for_spsa`.
+perturbation distribution.
 
 All distribution objects are immutable and safe to share across threads.
 Randomness enters only through caller-supplied ``numpy.random.Generator``
@@ -35,8 +35,6 @@ __all__ = [
     "SEGMENT_INNER",
     "SEGMENT_OUTER",
     "MomentSet",
-    "DistributionProperties",
-    "ValidityResult",
     "PerturbationDistribution",
     "Bernoulli",
     "SegmentedUniform",
@@ -44,7 +42,6 @@ __all__ = [
     "SEGMENTED_UNIFORM",
     "DISTRIBUTIONS",
     "from_name",
-    "validate_for_spsa",
 ]
 
 # Closed-form support endpoints of the segmented uniform law, evaluated once
@@ -69,21 +66,6 @@ class MomentSet:
     inv_second: float
     ratio_second: float
     cross_ratio: float
-
-
-@dataclass(frozen=True)
-class DistributionProperties:
-    """Structural facts about a law that decide SPSA admissibility."""
-
-    symmetric: bool
-    bounded: bool
-    inv_second_finite: bool
-
-
-@dataclass(frozen=True)
-class ValidityResult:
-    valid: bool
-    violations: tuple[str, ...]
 
 
 # Moments as exact rationals; floating values are derived from these.
@@ -136,10 +118,6 @@ class PerturbationDistribution:
     def exact_moments(self) -> dict[str, Fraction]:
         """The moments of :meth:`moments` as exact rationals."""
         return dict(_EXACT_MOMENTS[self.name])
-
-    def properties(self) -> DistributionProperties:
-        # Both built-in laws are symmetric, bounded, and keep mass away from 0.
-        return DistributionProperties(symmetric=True, bounded=True, inv_second_finite=True)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -239,21 +217,3 @@ def from_name(name: str) -> PerturbationDistribution:
             f'"{name}" is not a valid SPSA perturbation distribution (valid: {valid})'
         ) from None
 
-
-def validate_for_spsa(properties: DistributionProperties) -> ValidityResult:
-    """Gate a law on the structural requirements of SPSA perturbations.
-
-    A law is admissible iff it is symmetric about zero, bounded in magnitude,
-    and has a finite inverse second moment. The gate takes structural facts
-    rather than samples because finiteness of E[1/X^2] cannot be decided
-    empirically: the symmetric uniform and the mean-zero normal both fail it
-    through their mass near zero, yet finite samples cannot show that.
-    """
-    violations = []
-    if not properties.symmetric:
-        violations.append("not symmetric about zero")
-    if not properties.bounded:
-        violations.append("magnitude is not uniformly bounded")
-    if not properties.inv_second_finite:
-        violations.append("inverse second moment E[1/X^2] is not finite")
-    return ValidityResult(valid=not violations, violations=tuple(violations))

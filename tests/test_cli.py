@@ -53,6 +53,11 @@ class TestMoments:
         cli.main(["moments", "bernoulli", "--draws", "10000", "--seed", "5"])
         assert capsys.readouterr().out == first
 
+    def test_refused_allocation_is_runtime_failure(self, capsys):
+        # 10**18 draws need 6.94 EiB, which numpy refuses before allocating
+        assert cli.main(["moments", "bernoulli", "--draws", str(10**18)]) == 2
+        assert capsys.readouterr().err.startswith("runtime failure: Unable to allocate")
+
 
 class TestCheck:
     def test_reference_config(self, capsys, quadratic_path, quadratic_spec):
@@ -218,6 +223,15 @@ class TestReproduce:
         out = capsys.readouterr().out
         assert "1.7891" in out and "1.5255" in out
         assert "0.6500" in out and "0.9122" in out
+
+    def test_refused_allocation_is_runtime_failure(self, capsys, tmp_path):
+        out_path = tmp_path / "t3.csv"
+        code = cli.main(
+            ["reproduce", "table3", "--reps", str(10**18), "--out", str(out_path)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("runtime failure: Unable to allocate")
+        assert not out_path.exists()
 
     def test_bad_table_name(self, capsys):
         assert cli.main(["reproduce", "table9"]) == 1

@@ -16,7 +16,7 @@ from spsa_dist.core import (
     sp_gradient,
     spsa_run,
 )
-from spsa_dist.perturbations import BERNOULLI, SEGMENTED_UNIFORM, DistributionProperties
+from spsa_dist.perturbations import BERNOULLI, SEGMENTED_UNIFORM
 
 
 def quadratic_problem(sigma2=0.0, theta0=(0.3, 0.3)):
@@ -32,9 +32,10 @@ def quartic_problem(sigma2=0.0, theta0=(1.0, 1.0)):
 
 
 class FixedDelta:
-    """Deterministic stand-in distribution for forced-perturbation tests."""
+    """Deterministic stand-in law for forced-perturbation tests.
 
-    uniform_draws_per_component = 0
+    It has only ``sample_array``, the one method ``spsa_run`` calls.
+    """
 
     def __init__(self, *vectors):
         self.vectors = [np.asarray(v, dtype=float) for v in vectors]
@@ -44,9 +45,6 @@ class FixedDelta:
         delta = self.vectors[self.calls % len(self.vectors)]
         self.calls += 1
         return delta.copy()
-
-    def properties(self):
-        return DistributionProperties(symmetric=True, bounded=True, inv_second_finite=True)
 
 
 class TestGains:
@@ -287,22 +285,6 @@ class TestSpsaRun:
         assert run.diverged
         assert run.diverged_at is not None
         assert np.isnan(run.trajectory[-1]).all()
-
-    def test_invalid_distribution_rejected(self):
-        class Unbounded(FixedDelta):
-            def properties(self):
-                return DistributionProperties(
-                    symmetric=True, bounded=False, inv_second_finite=False
-                )
-
-        with pytest.raises(ValueError, match="validity gate"):
-            spsa_run(
-                quadratic_problem(),
-                GainSchedule(a=0.1, c=0.1),
-                Unbounded((1.0, 1.0)),
-                1,
-                np.random.default_rng(0),
-            )
 
 
 @pytest.mark.parametrize("dist", (BERNOULLI, SEGMENTED_UNIFORM), ids=lambda d: d.name)

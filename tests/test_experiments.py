@@ -76,7 +76,8 @@ def diverging_rows(spec, dist, stream_tag, iteration=0):
         stop=spec.n_reps,
     ).reshape(spec.n_reps, 2, draws)
     delta = dist.deltas_from_uniforms(u)
-    reach = 0.5 / spec.schedule_for(dist.name).gain_c(iteration)
+    schedule = {"bernoulli": spec.schedule_bern, "segmented_uniform": spec.schedule_su}[dist.name]
+    reach = 0.5 / schedule.gain_c(iteration)
     return np.flatnonzero((delta > reach).all(axis=1) | (delta < -reach).all(axis=1))
 
 
@@ -198,6 +199,7 @@ class TestRunExperiment:
                 "bernoulli": streams.BERNOULLI_STREAM,
                 "segmented_uniform": streams.SEGMENTED_UNIFORM_STREAM,
             }
+            schedules = {"bernoulli": spec.schedule_bern, "segmented_uniform": spec.schedule_su}
             for k in range(3):
                 u_noise = streams.uniform_block(
                     spec.master_seed,
@@ -221,7 +223,7 @@ class TestRunExperiment:
                         stop=replicate + 1,
                     )[0].reshape(problem.p, draws)
                     delta = dist.deltas_from_uniforms(u_pert)
-                    schedule = spec.schedule_for(name)
+                    schedule = schedules[name]
                     grad = sp_gradient(
                         problem, theta[name], schedule.gain_c(k), delta, eps[0], eps[1]
                     )
@@ -441,16 +443,32 @@ class TestCsvOutput:
         assert first.read_bytes() == second.read_bytes()
 
     def test_rows_parse_back(self, quadratic_spec):
-        spec = small_spec(quadratic_spec, k_values=(1,), n_reps=300)
+        spec = small_spec(quadratic_spec, k_values=(1, 2, 5), n_reps=300)
         result = run_experiment(spec)
         data = [
-            line
+            line.split(",")
             for line in render_csv(result).strip().split("\n")
             if not line.startswith("#")
         ][1:]
-        bern_row = data[0].split(",")
-        assert bern_row[0] == "1" and bern_row[1] == "bernoulli"
-        assert float(bern_row[2]) == result.estimates[0].mse
-        paired_row = data[2].split(",")
-        assert paired_row[1] == "paired"
-        assert float(paired_row[5]) == result.comparisons[0].mean_diff
+        estimates = {(est.k, est.distribution): est for est in result.estimates}
+        comparisons = {cmp.k: cmp for cmp in result.comparisons}
+        assert len(data) == 3 * len(spec.k_values)
+        for i, k in enumerate(spec.k_values):
+            bern, su, paired = data[3 * i : 3 * i + 3]
+            assert [row[:2] for row in (bern, su, paired)] == [
+                [str(k), "bernoulli"],
+                [str(k), "segmented_uniform"],
+                [str(k), "paired"],
+            ]
+            for row in (bern, su):
+                est = estimates[(k, row[1])]
+                assert float(row[2]) == est.mse
+                assert float(row[3]) == est.std_error
+                assert int(row[4]) == est.n_reps
+                assert row[5:] == ["", "", ""]
+            cmp = comparisons[k]
+            assert paired[2:4] == ["", ""]
+            assert int(paired[4]) == cmp.n_pairs
+            assert float(paired[5]) == cmp.mean_diff
+            assert float(paired[6]) == cmp.t_stat
+            assert float(paired[7]) == cmp.p_value

@@ -10,9 +10,7 @@ from spsa_dist.perturbations import (
     SEGMENTED_UNIFORM,
     SEGMENT_INNER,
     SEGMENT_OUTER,
-    DistributionProperties,
     from_name,
-    validate_for_spsa,
 )
 
 BOTH = (BERNOULLI, SEGMENTED_UNIFORM)
@@ -163,29 +161,6 @@ def test_fixed_draw_consumption(dist):
     reference = np.random.default_rng(17)
     reference.random(n * dist.uniform_draws_per_component)
     assert probe_after == reference.random()
-
-
-def test_validity_gate():
-    for dist in BOTH:
-        verdict = validate_for_spsa(dist.properties())
-        assert verdict.valid and verdict.violations == ()
-    # symmetric uniform on (-sqrt(3), sqrt(3)): mass at zero kills E[1/X^2]
-    uniform = validate_for_spsa(
-        DistributionProperties(symmetric=True, bounded=True, inv_second_finite=False)
-    )
-    assert not uniform.valid
-    assert any("inverse second moment" in v for v in uniform.violations)
-    # mean-zero normal: unbounded and diverging inverse moment
-    normal = validate_for_spsa(
-        DistributionProperties(symmetric=True, bounded=False, inv_second_finite=False)
-    )
-    assert not normal.valid
-    assert len(normal.violations) == 2
-    asym = validate_for_spsa(
-        DistributionProperties(symmetric=False, bounded=True, inv_second_finite=True)
-    )
-    assert not asym.valid
-    assert any("symmetric" in v for v in asym.violations)
 
 
 def test_from_name():
