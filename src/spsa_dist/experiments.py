@@ -11,13 +11,16 @@ p-values favor the segmented uniform.
 
 All randomness comes from the counter-addressed streams in
 :mod:`spsa_dist.streams`, so results are bit-identical for a given
-(spec, master_seed) no matter how replicates are chunked, and identical
-reruns produce byte-identical CSV files.
+(spec, master_seed) no matter how replicates are split into blocks or how
+many threads run them, and identical reruns produce byte-identical CSV files.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +32,7 @@ from .perturbations import BERNOULLI, SEGMENTED_UNIFORM
 
 __all__ = [
     "CHUNK_SIZE",
+    "WORKERS",
     "PAIRING_NOTE",
     "T_TEST_NOTE",
     "ExperimentSpec",
@@ -46,6 +50,11 @@ __all__ = [
 ]
 
 CHUNK_SIZE = 1 << 18
+# Threads that run replicate blocks: the CPUs this process may run on, so
+# `taskset -c 0` makes a run serial.
+WORKERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
 
 PAIRING_NOTE = "shared noise stream per replicate; independent perturbation streams"
 T_TEST_NOTE = "one-sided matched pairs; H1: mse(bernoulli) > mse(segmented_uniform)"
@@ -159,12 +168,15 @@ def paired_t_test(diffs) -> TTestResult:
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Estimate the MSE of both laws at every requested k, with pairing.
 
-    Replicates are processed in chunks of :data:`CHUNK_SIZE`; since every draw
-    has an absolute stream address, the chunking (and any splitting across
-    workers) has no effect on the output. A non-finite iterate aborts the
-    whole experiment with a :class:`DivergedRunError` naming the smallest
+    The replicates are split into ``min(n_reps, max(WORKERS, ceil(n_reps /
+    CHUNK_SIZE)))`` blocks whose sizes differ by at most one, run on a pool
+    of :data:`WORKERS` threads. Every draw has an absolute stream address and
+    each block writes only its own rows, so neither the block sizes nor the
+    worker count has any effect on the output. A non-finite iterate aborts
+    the whole experiment with a :class:`DivergedRunError` naming the smallest
     diverging replicate, its first iteration and law: silent dropping would
-    bias the estimates.
+    bias the estimates. Any other exception raised in a block stops the other
+    blocks and reaches the caller unchanged.
     """
     # Fixed processing order; also the row order of the output tables.
     laws = (
@@ -184,58 +196,101 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         (dist.name, k): np.empty(n) for dist, _, _ in laws for k in spec.k_values
     }
 
-    for start in range(0, n, CHUNK_SIZE):
-        stop = min(start + CHUNK_SIZE, n)
+    n_blocks = min(n, max(WORKERS, -(-n // CHUNK_SIZE)))
+    # Index of the lowest block that has diverged, or -1 once a block raised;
+    # a block stops at its next iteration when this falls below its own index.
+    first_failed = n_blocks
+    lock = threading.Lock()
+
+    def fail(index: int) -> None:
+        nonlocal first_failed
+        with lock:
+            first_failed = min(first_failed, index)
+
+    def run_block(index: int) -> DivergedRunError | None:
+        try:
+            return step_block(index)
+        except BaseException:
+            fail(-1)
+            raise
+
+    def step_block(index: int) -> DivergedRunError | None:
+        start = index * n // n_blocks
+        stop = (index + 1) * n // n_blocks
         theta = {
             dist.name: np.broadcast_to(theta0, (stop - start, p)).copy() for dist, _, _ in laws
         }
         diverged = None
         for k in range(k_max):
-            u_noise = streams.uniform_block(
-                spec.master_seed,
-                streams.NOISE_STREAM,
-                n_reps=n,
-                words_per_rep=2,
-                iteration=k,
-                start=start,
-                stop=stop,
-            )
-            eps = sigma * standard_normal_from_uniform(u_noise)
-            for dist, stream_tag, schedule in laws:
-                draws = dist.uniform_draws_per_component
-                u_pert = streams.uniform_block(
+            if first_failed < index:
+                return diverged
+            # Every array is dropped or overwritten once used (bit-identical to
+            # the out-of-place forms): blocks run concurrently, so the
+            # working set per row sets the peak memory.
+            eps = standard_normal_from_uniform(
+                streams.uniform_block(
                     spec.master_seed,
-                    stream_tag,
+                    streams.NOISE_STREAM,
                     n_reps=n,
-                    words_per_rep=p * draws,
+                    words_per_rep=2,
                     iteration=k,
                     start=start,
                     stop=stop,
                 )
-                delta = dist.deltas_from_uniforms(u_pert.reshape(stop - start, p, draws))
+            )
+            eps *= sigma
+            for dist, stream_tag, schedule in laws:
+                draws = dist.uniform_draws_per_component
+                delta = dist.deltas_from_uniforms(
+                    streams.uniform_block(
+                        spec.master_seed,
+                        stream_tag,
+                        n_reps=n,
+                        words_per_rep=p * draws,
+                        iteration=k,
+                        start=start,
+                        stop=stop,
+                    ).reshape(stop - start, p, draws)
+                )
+                current = theta[dist.name]
                 with np.errstate(over="ignore", invalid="ignore"):
-                    ghat = sp_gradient(
-                        problem, theta[dist.name], schedule.gain_c(k), delta, eps[:, 0], eps[:, 1]
+                    step = sp_gradient(
+                        problem, current, schedule.gain_c(k), delta, eps[:, 0], eps[:, 1]
                     )
-                    current = theta[dist.name] - schedule.gain_a(k) * ghat
+                    del delta
+                    step *= schedule.gain_a(k)
+                    current -= step
+                del step
                 if not np.isfinite(current).all():
                     r = int(np.flatnonzero(~np.isfinite(current).all(axis=1))[0])
                     diverged = DivergedRunError(start + r, dist.name, k)
+                    fail(index)
                     if r == 0:
-                        raise diverged
+                        return diverged
                     # only rows before r can still be the first to diverge
                     stop = start + r
                     theta = {name: rows[:r] for name, rows in theta.items()}
-                    current = current[:r]
                     eps = eps[:r]
-                theta[dist.name] = current
+            del eps
             if (k + 1) in wanted_k:
                 for name, rows in theta.items():
                     err = rows - theta_star
-                    squared_errors[(name, k + 1)][start:stop] = (err * err).sum(axis=1)
-        # earlier chunks ran clean, so this is the smallest diverging replicate
-        if diverged is not None:
-            raise diverged
+                    err *= err
+                    squared_errors[(name, k + 1)][start:stop] = err.sum(axis=1)
+                    del err
+        return diverged
+
+    with ThreadPoolExecutor(max_workers=min(WORKERS, n_blocks)) as pool:
+        futures = [pool.submit(run_block, index) for index in range(n_blocks)]
+        try:
+            records = [future.result() for future in futures]
+        except BaseException:
+            fail(-1)
+            raise
+    # blocks before the lowest failing one ran clean, and it ran to its end,
+    # so its record names the smallest diverging replicate
+    if first_failed < n_blocks:
+        raise records[first_failed]
 
     estimates = []
     comparisons = []

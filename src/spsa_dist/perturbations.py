@@ -150,9 +150,11 @@ class SegmentedUniform(PerturbationDistribution):
 
     def deltas_from_uniforms(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
-        sign = np.where(u[..., 0] < 0.5, -1.0, 1.0)
-        magnitude = self.inner + _SEGMENT_WIDTH * u[..., 1]
-        return sign * magnitude
+        # in place, to hold two arrays of the output's size rather than four
+        delta = _SEGMENT_WIDTH * u[..., 1]
+        delta += self.inner
+        delta *= np.where(u[..., 0] < 0.5, -1.0, 1.0)
+        return delta
 
     def density(self, x):
         """Density of the law; zero on [-INNER, INNER] and outside the support."""

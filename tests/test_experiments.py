@@ -1,4 +1,6 @@
 import math
+import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +28,8 @@ from spsa_dist.experiments import (
 )
 from spsa_dist.perturbations import BERNOULLI, SEGMENTED_UNIFORM
 from spsa_dist.theory import condition_lhs_explicit, condition_input_from_problem
+
+WORKER_COUNTS = (1, 2, 3)
 
 
 def small_spec(quadratic_spec, *, k_values=(1,), n_reps=2000, **overrides):
@@ -79,6 +83,22 @@ def diverging_rows(spec, dist, stream_tag, iteration=0):
     schedule = {"bernoulli": spec.schedule_bern, "segmented_uniform": spec.schedule_su}[dist.name]
     reach = 0.5 / schedule.gain_c(iteration)
     return np.flatnonzero((delta > reach).all(axis=1) | (delta < -reach).all(axis=1))
+
+
+def diverging_report(spec, monkeypatch, chunk_sizes):
+    """The (replicate, law, iteration) tuples that :func:`run_experiment` reports
+    for ``spec`` under each chunk size and worker count.
+    """
+    reports = set()
+    for workers in WORKER_COUNTS:
+        monkeypatch.setattr(experiments, "WORKERS", workers)
+        for chunk_size in chunk_sizes:
+            monkeypatch.setattr(experiments, "CHUNK_SIZE", chunk_size)
+            with pytest.raises(DivergedRunError) as info:
+                run_experiment(spec)
+            err = info.value
+            reports.add((err.replicate, err.distribution, err.iteration))
+    return reports
 
 
 def frozen_cliff_spec(quadratic_spec):
@@ -163,15 +183,16 @@ class TestRunExperiment:
         spec = small_spec(request.getfixturevalue(spec_name), k_values=(1, 4), n_reps=3000)
         baseline = run_experiment(spec)
         rerun = run_experiment(spec)
-        monkeypatch.setattr(experiments, "CHUNK_SIZE", 997)
-        chunked = run_experiment(spec)
-        monkeypatch.setattr(experiments, "CHUNK_SIZE", 100)
-        tiny_chunks = run_experiment(spec)
         for key, values in baseline.squared_errors.items():
             assert np.array_equal(values, rerun.squared_errors[key])
-            assert np.array_equal(values, chunked.squared_errors[key])
-            assert np.array_equal(values, tiny_chunks.squared_errors[key])
-        assert render_csv(baseline) == render_csv(chunked)
+        for workers in WORKER_COUNTS:
+            monkeypatch.setattr(experiments, "WORKERS", workers)
+            for chunk_size in (CHUNK_SIZE, 997, 100):
+                monkeypatch.setattr(experiments, "CHUNK_SIZE", chunk_size)
+                blocked = run_experiment(spec)
+                for key, values in baseline.squared_errors.items():
+                    assert np.array_equal(values, blocked.squared_errors[key])
+                assert render_csv(baseline) == render_csv(blocked)
 
     def test_k_subset_harvests_same_errors(self, quadratic_spec):
         spec_all = small_spec(quadratic_spec, k_values=(1, 3), n_reps=500)
@@ -262,12 +283,9 @@ class TestRunExperiment:
         # `first` diverges
         assert first > 0
         assert diverging_rows(spec, SEGMENTED_UNIFORM, streams.SEGMENTED_UNIFORM_STREAM)[0] >= first
-        for chunk_size in (CHUNK_SIZE, first, 5, 1):
-            monkeypatch.setattr(experiments, "CHUNK_SIZE", chunk_size)
-            with pytest.raises(DivergedRunError) as info:
-                run_experiment(spec)
-            err = info.value
-            assert (err.replicate, err.distribution, err.iteration) == (first, "bernoulli", 0)
+        assert diverging_report(spec, monkeypatch, (CHUNK_SIZE, first, 5, 1)) == {
+            (first, "bernoulli", 0)
+        }
 
     def test_divergence_report_ignores_chunking(self, quadratic_spec, monkeypatch):
         # replicate 1 diverges under the segmented uniform and replicate 5 under
@@ -275,12 +293,9 @@ class TestRunExperiment:
         spec = cliff_spec(quadratic_spec, master_seed=6)
         assert diverging_rows(spec, SEGMENTED_UNIFORM, streams.SEGMENTED_UNIFORM_STREAM)[0] == 1
         assert diverging_rows(spec, BERNOULLI, streams.BERNOULLI_STREAM)[0] == 5
-        for chunk_size in (CHUNK_SIZE, 5, 1):
-            monkeypatch.setattr(experiments, "CHUNK_SIZE", chunk_size)
-            with pytest.raises(DivergedRunError) as info:
-                run_experiment(spec)
-            err = info.value
-            assert (err.replicate, err.distribution, err.iteration) == (1, "segmented_uniform", 0)
+        assert diverging_report(spec, monkeypatch, (CHUNK_SIZE, 5, 1)) == {
+            (1, "segmented_uniform", 0)
+        }
 
     def test_divergence_names_smaller_replicate_failing_later(self, quadratic_spec, monkeypatch):
         spec = frozen_cliff_spec(quadratic_spec)
@@ -297,14 +312,14 @@ class TestRunExperiment:
         assert 3 in hits[(0, "bernoulli")]
         assert [key for key, rows in hits.items() if 2 in rows] == [(5, "segmented_uniform")]
         assert not any(rows & {0, 1} for rows in hits.values())
-        for chunk_size in (CHUNK_SIZE, 5, 1):
-            monkeypatch.setattr(experiments, "CHUNK_SIZE", chunk_size)
-            with pytest.raises(DivergedRunError) as info:
-                run_experiment(spec)
-            err = info.value
-            assert (err.replicate, err.distribution, err.iteration) == (2, "segmented_uniform", 5)
+        assert diverging_report(spec, monkeypatch, (CHUNK_SIZE, 5, 1)) == {
+            (2, "segmented_uniform", 5)
+        }
 
-    def test_rows_after_a_divergence_are_not_evaluated(self, quadratic_spec):
+    def test_rows_after_a_divergence_are_not_evaluated(self, quadratic_spec, monkeypatch):
+        # one worker: with more, the rows of a block after the failing one are
+        # evaluated as well until that block sees the failure
+        monkeypatch.setattr(experiments, "WORKERS", 1)
         spec = frozen_cliff_spec(quadratic_spec)
         cliff = spec.problem.loss.evaluator
         batch_rows = []
@@ -314,12 +329,55 @@ class TestRunExperiment:
             return cliff(theta)
 
         loss = LossFunction(name="counting_cliff", evaluator=counting, dimension=2)
-        with pytest.raises(DivergedRunError):
+        # one block, then two of 100 rows: the second stops before its first step
+        for chunk_size, first_block in ((CHUNK_SIZE, spec.n_reps), (100, 100)):
+            monkeypatch.setattr(experiments, "CHUNK_SIZE", chunk_size)
+            batch_rows.clear()
+            with pytest.raises(DivergedRunError):
+                run_experiment(replace(spec, problem=replace(spec.problem, loss=loss)))
+            # two evaluations per law and iteration: all rows until replicate 3
+            # diverges (k = 0, Bernoulli), rows 0-2 until replicate 2 does (k = 5,
+            # segmented uniform), then rows 0-1 to k = 8
+            assert batch_rows == [first_block] * 2 + [3] * (2 + 4 * 5) + [2] * (4 * 2)
+
+    def test_error_in_one_block_stops_the_others(self, quadratic_spec, monkeypatch):
+        monkeypatch.setattr(experiments, "WORKERS", 2)
+        spec = small_spec(quadratic_spec, k_values=(1000,), n_reps=3001)
+        quadratic = spec.problem.loss.evaluator
+        first_block_calls = []
+        first_block_started = threading.Event()
+
+        def failing(theta):
+            # the blocks hold 1500 and 1501 rows; the second fails once the first runs
+            if len(theta) == 1501:
+                first_block_started.wait(timeout=60)
+                raise ValueError("loss failed")
+            first_block_calls.append(len(theta))
+            first_block_started.set()
+            return quadratic(theta)
+
+        loss = LossFunction(name="failing", evaluator=failing, dimension=2)
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="loss failed"):
             run_experiment(replace(spec, problem=replace(spec.problem, loss=loss)))
-        # two evaluations per law and iteration: all rows until replicate 3
-        # diverges (k = 0, Bernoulli), rows 0-2 until replicate 2 does (k = 5,
-        # segmented uniform), then rows 0-1 to k = 8
-        assert batch_rows == [spec.n_reps] * 2 + [3] * (2 + 4 * 5) + [2] * (4 * 2)
+        assert threading.active_count() == threads
+        assert 0 < len(first_block_calls) < 2 * spec.k_values[-1]
+
+    def test_block_working_set_per_row(self, quadratic_spec, monkeypatch):
+        # two blocks run at once, so a block may hold at most 18 float64 per
+        # row beside the kept squared errors for peak RSS to stay put (the
+        # single-threaded harness held 27)
+        monkeypatch.setattr(experiments, "WORKERS", 1)
+        n = 1 << 16
+        spec = small_spec(quadratic_spec, k_values=(1, 3), n_reps=n)
+        tracemalloc.start()
+        try:
+            result = run_experiment(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(values.nbytes for values in result.squared_errors.values())
+        assert (peak - kept) / (8 * n) <= 18
 
     def test_reversal_at_long_horizon(self, table2_k1000_result):
         estimates = {e.distribution: e for e in table2_k1000_result.estimates}
