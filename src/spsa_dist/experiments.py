@@ -24,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtr
 
 from . import streams, theory
 from .core import ProblemConfig, GainSchedule, sp_gradient, standard_normal_from_uniform
@@ -146,11 +146,15 @@ def paired_t_test(diffs) -> TTestResult:
     t = mean(d) / (sd(d) / sqrt(n)) with the n-1 sample standard deviation;
     the p-value is the upper tail of Student's t with n-1 degrees of freedom.
     Zero-variance input degenerates to p = 0 or 1 by the sign of the mean,
-    p = 0.5 when the mean is zero as well.
+    p = 0.5 when the mean is zero as well. An inf or nan difference raises
+    ValueError.
     """
     d = np.asarray(diffs, dtype=float)
     if d.ndim != 1 or d.size < 2:
         raise ValueError("paired_t_test needs a 1-D sample of size >= 2")
+    bad = np.flatnonzero(~np.isfinite(d))
+    if bad.size:
+        raise ValueError(f"paired_t_test needs finite differences; got {d[bad[0]]} at index {bad[0]}")
     n = d.size
     mean = float(d.mean())
     sd = float(d.std(ddof=1))
@@ -161,7 +165,7 @@ def paired_t_test(diffs) -> TTestResult:
             return TTestResult(t_stat=-math.inf, p_value=1.0, degenerate=True)
         return TTestResult(t_stat=0.0, p_value=0.5, degenerate=True)
     t_stat = mean / (sd / math.sqrt(n))
-    p_value = float(stats.t.sf(t_stat, n - 1))
+    p_value = float(stdtr(n - 1, -t_stat))
     return TTestResult(t_stat=t_stat, p_value=p_value)
 
 
@@ -280,6 +284,11 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                     del err
         return diverged
 
+    # glibc hands a freed heap top over its trim threshold back to the kernel,
+    # so each block iteration would fault its temporaries in again (3e5 minor
+    # faults per `reproduce table3 --reps 20000`). Freeing one mapped 4 MiB
+    # array moves glibc's thresholds to 4 MiB (mmap) and 8 MiB (trim).
+    np.empty(1 << 19)
     with ThreadPoolExecutor(max_workers=min(WORKERS, n_blocks)) as pool:
         futures = [pool.submit(run_block, index) for index in range(n_blocks)]
         try:

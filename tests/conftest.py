@@ -1,9 +1,30 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from spsa_dist.config import bundled_config_text, parse_config
 from spsa_dist.experiments import run_experiment
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """Run code in a new interpreter that imports the package from ``src/``
+    and return its standard output; pytest has loaded modules, and moved
+    allocator state, in this one."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+
+    def run(code: str) -> str:
+        return subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
+        ).stdout
+
+    return run
 
 
 @pytest.fixture(scope="session")

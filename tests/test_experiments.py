@@ -1,4 +1,5 @@
 import math
+import platform
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -115,6 +116,24 @@ def frozen_cliff_spec(quadratic_spec):
     )
 
 
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's heap trimming")
+def test_block_iterations_do_not_refault_their_temporaries(fresh_python):
+    # Without the threshold lift in run_experiment, the second run takes about
+    # 6000 minor page faults here (one block iteration's temporaries each time).
+    code = """
+import resource
+from dataclasses import replace
+from spsa_dist.config import bundled_config_text, parse_config
+from spsa_dist.experiments import run_experiment
+spec = replace(parse_config(bundled_config_text("quartic")).experiment, k_values=(50,), n_reps=20000)
+run_experiment(spec)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_experiment(spec)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    assert int(fresh_python(code)) < 1000
+
+
 class TestPairedTTest:
     def test_constant_positive_diffs(self):
         res = paired_t_test((1.0, 1.0, 1.0, 1.0))
@@ -127,6 +146,22 @@ class TestPairedTTest:
     def test_all_zero_diffs(self):
         res = paired_t_test((0.0, 0.0))
         assert res.t_stat == 0.0 and res.p_value == 0.5 and res.degenerate
+
+    @pytest.mark.parametrize("bad", (math.inf, -math.inf, math.nan))
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite differences; got .* at index 1"):
+            paired_t_test((1.0, bad, 2.0))
+
+    @pytest.mark.parametrize("df", (1, 2, 9, 49, 19_999, 99_999, 999_999))
+    def test_p_value_bits_equal_scipy_t_sf(self, df):
+        # The CSV's byte identity rests on these bits, so no tolerance.
+        n = df + 1
+        z = np.random.default_rng(df).standard_normal(n)
+        z = (z - z.mean()) / z.std(ddof=1)
+        for target in (-40.0, -12.0, -3.0, -1.0, -0.1, 0.0, 0.1, 1.0, 3.0, 12.0, 40.0):
+            res = paired_t_test(z + target / math.sqrt(n))
+            assert res.t_stat == pytest.approx(target, abs=1e-6)
+            assert res.p_value == stats.t.sf(res.t_stat, n - 1)
 
     def test_matches_scipy(self):
         rng = np.random.default_rng(41)

@@ -14,3 +14,7 @@ def test_all_names_resolve(module_name):
     assert missing == []
     assert len(set(module.__all__)) == len(module.__all__)
 
+
+def test_package_import_leaves_out_scipy_stats(fresh_python):
+    code = "import spsa_dist, spsa_dist.cli, sys; print('scipy.stats' in sys.modules)"
+    assert fresh_python(code).strip() == "False"
