@@ -42,6 +42,7 @@ __all__ = [
     "SpsaRun",
     "standard_normal_from_uniform",
     "sp_gradient",
+    "spsa_step",
     "spsa_run",
     "finite_difference_gradient",
 ]
@@ -237,6 +238,17 @@ def sp_gradient(
     return np.asarray(y_plus - y_minus)[..., None] / (2.0 * c_k * delta)
 
 
+def spsa_step(
+    problem: ProblemConfig, schedule: GainSchedule, k: int, theta: np.ndarray, delta, eps_plus, eps_minus
+) -> bool:
+    """Step the float rows ``theta`` (..., p) from iterate k in place; True if all stay finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = sp_gradient(problem, theta, schedule.gain_c(k), delta, eps_plus, eps_minus)
+        step *= schedule.gain_a(k)
+        theta -= step
+    return bool(np.isfinite(theta).all())
+
+
 @dataclass
 class SpsaRun:
     """Trajectory and bookkeeping of one optimizer run.
@@ -270,21 +282,16 @@ def spsa_run(
     if k_max < 1:
         raise ValueError("k_max must be a positive integer")
     sigma = math.sqrt(problem.sigma2)
-    theta = np.asarray(problem.theta0, dtype=float)
+    theta = np.array(problem.theta0, dtype=float)
     trajectory = np.full((k_max + 1, problem.p), np.nan)
     trajectory[0] = theta
-    n_evals = 0
     for k in range(k_max):
         delta = dist.sample_array(rng, problem.p)
         eps_plus, eps_minus = sigma * standard_normal_from_uniform(rng.random(2))
-        with np.errstate(over="ignore", invalid="ignore"):
-            grad = sp_gradient(problem, theta, schedule.gain_c(k), delta, eps_plus, eps_minus)
-            theta = theta - schedule.gain_a(k) * grad
-        n_evals += 2
-        if not np.all(np.isfinite(theta)):
-            return SpsaRun(trajectory, n_evals, diverged=True, diverged_at=k)
+        if not spsa_step(problem, schedule, k, theta, delta, eps_plus, eps_minus):
+            return SpsaRun(trajectory, 2 * (k + 1), diverged=True, diverged_at=k)
         trajectory[k + 1] = theta
-    return SpsaRun(trajectory, n_evals)
+    return SpsaRun(trajectory, 2 * k_max)
 
 
 def finite_difference_gradient(evaluator, theta, step: float = 1e-5) -> np.ndarray:

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import stdtr
 
 from . import streams, theory
-from .core import ProblemConfig, GainSchedule, sp_gradient, standard_normal_from_uniform
+from .core import ProblemConfig, GainSchedule, spsa_step, standard_normal_from_uniform
 from .perturbations import BERNOULLI, SEGMENTED_UNIFORM
 
 __all__ = [
@@ -146,8 +146,8 @@ def paired_t_test(diffs) -> TTestResult:
     t = mean(d) / (sd(d) / sqrt(n)) with the n-1 sample standard deviation;
     the p-value is the upper tail of Student's t with n-1 degrees of freedom.
     Zero-variance input degenerates to p = 0 or 1 by the sign of the mean,
-    p = 0.5 when the mean is zero as well. An inf or nan difference raises
-    ValueError.
+    p = 0.5 when the mean is zero as well. An inf or nan difference, or a mean
+    or standard deviation that overflows, raises ValueError.
     """
     d = np.asarray(diffs, dtype=float)
     if d.ndim != 1 or d.size < 2:
@@ -156,8 +156,11 @@ def paired_t_test(diffs) -> TTestResult:
     if bad.size:
         raise ValueError(f"paired_t_test needs finite differences; got {d[bad[0]]} at index {bad[0]}")
     n = d.size
-    mean = float(d.mean())
-    sd = float(d.std(ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(d.mean())
+        sd = float(d.std(ddof=1))
+    if not (math.isfinite(mean) and math.isfinite(sd)):
+        raise ValueError(f"paired_t_test: mean {mean}, standard deviation {sd}: float64 overflow")
     if sd == 0.0:
         if mean > 0.0:
             return TTestResult(t_stat=math.inf, p_value=0.0, degenerate=True)
@@ -221,9 +224,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     def step_block(index: int) -> DivergedRunError | None:
         start = index * n // n_blocks
         stop = (index + 1) * n // n_blocks
-        theta = {
-            dist.name: np.broadcast_to(theta0, (stop - start, p)).copy() for dist, _, _ in laws
-        }
+        theta = {dist.name: np.tile(theta0, (stop - start, 1)) for dist, _, _ in laws}
         diverged = None
         for k in range(k_max):
             if first_failed < index:
@@ -257,15 +258,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                     ).reshape(stop - start, p, draws)
                 )
                 current = theta[dist.name]
-                with np.errstate(over="ignore", invalid="ignore"):
-                    step = sp_gradient(
-                        problem, current, schedule.gain_c(k), delta, eps[:, 0], eps[:, 1]
-                    )
-                    del delta
-                    step *= schedule.gain_a(k)
-                    current -= step
-                del step
-                if not np.isfinite(current).all():
+                finite = spsa_step(problem, schedule, k, current, delta, eps[:, 0], eps[:, 1])
+                del delta
+                if not finite:
                     r = int(np.flatnonzero(~np.isfinite(current).all(axis=1))[0])
                     diverged = DivergedRunError(start + r, dist.name, k)
                     fail(index)
@@ -279,8 +274,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             if (k + 1) in wanted_k:
                 for name, rows in theta.items():
                     err = rows - theta_star
-                    err *= err
-                    squared_errors[(name, k + 1)][start:stop] = err.sum(axis=1)
+                    with np.errstate(over="ignore"):  # checked after the last block
+                        err *= err
+                        squared_errors[(name, k + 1)][start:stop] = err.sum(axis=1)
                     del err
         return diverged
 
@@ -306,14 +302,16 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     for k in spec.k_values:
         for dist, _, _ in laws:
             se = squared_errors[(dist.name, k)]
-            estimates.append(
-                MseEstimate(
-                    distribution=dist.name,
-                    k=k,
-                    mse=float(se.mean()),
-                    std_error=float(se.std(ddof=1) / math.sqrt(n)),
-                    n_reps=n,
+            with np.errstate(over="ignore", invalid="ignore"):
+                mse = float(se.mean())
+                std_error = float(se.std(ddof=1) / math.sqrt(n))
+            if not (math.isfinite(mse) and math.isfinite(std_error)):
+                raise ValueError(
+                    f"{dist.name} at k={k}: the squared errors overflow float64 "
+                    f"(mse {mse}, std_error {std_error})"
                 )
+            estimates.append(
+                MseEstimate(distribution=dist.name, k=k, mse=mse, std_error=std_error, n_reps=n)
             )
         d = squared_errors[("bernoulli", k)] - squared_errors[("segmented_uniform", k)]
         t_res = paired_t_test(d)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -198,6 +199,26 @@ class TestRun:
         path = write_doc(tmp_path, doc)
         assert cli.main(["run", str(path), "--out", str(tmp_path / "x.csv")]) == 2
         assert "diverged" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "theta0, step_gain",
+        (([7e153, 7e153], 0.0), ([1e154, 1e154], None)),
+        ids=("mean_overflows", "squared_error_overflows"),
+    )
+    def test_overflowing_mse_is_input_error(self, capsys, tmp_path, theta0, step_gain):
+        # at 7e153 with a frozen iterate each squared error is finite and their
+        # sum is not; at 1e154 the squared error of every row is inf already
+        doc = small_run_doc(n_reps=100)
+        doc["problem"]["theta0"] = theta0
+        if step_gain is not None:
+            for gains in doc["gains"].values():
+                gains["a"] = step_gain
+        out_path = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["run", str(write_doc(tmp_path, doc)), "--out", str(out_path)]) == 1
+        assert "bernoulli at k=1: the squared errors overflow float64" in capsys.readouterr().err
+        assert not out_path.exists()
 
 
 class TestReproduce:

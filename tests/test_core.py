@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from spsa_dist.core import (
     registered_losses,
     sp_gradient,
     spsa_run,
+    spsa_step,
 )
 from spsa_dist.perturbations import BERNOULLI, SEGMENTED_UNIFORM
 
@@ -196,6 +198,48 @@ class TestSpGradient:
             assert np.array_equal(batched[r], single)
 
 
+class TestSpsaStep:
+    @pytest.mark.parametrize("dist", (BERNOULLI, SEGMENTED_UNIFORM), ids=lambda d: d.name)
+    def test_block_step_matches_single_rows_and_out_of_place_update(self, dist):
+        problem = quartic_problem(sigma2=1.0)
+        schedule = GainSchedule(a=0.05, c=0.2)
+        rng = np.random.default_rng(31)
+        rows, k = 64, 3
+        theta0 = rng.uniform(-2.0, 2.0, size=(rows, 2))
+        delta = dist.sample_array(rng, (rows, 2))
+        eps = rng.normal(size=(rows, 2))
+        assert (eps != 0.0).all()
+        theta = theta0.copy()
+        assert spsa_step(problem, schedule, k, theta, delta, eps[:, 0], eps[:, 1]) is True
+        grad = sp_gradient(problem, theta0, schedule.gain_c(k), delta, eps[:, 0], eps[:, 1])
+        assert theta.tobytes() == (theta0 - schedule.gain_a(k) * grad).tobytes()
+        for r in range(rows):
+            row = theta0[r].copy()
+            assert spsa_step(problem, schedule, k, row, delta[r], eps[r, 0], eps[r, 1])
+            assert row.tobytes() == theta[r].tobytes()
+
+    def test_false_exactly_when_a_row_leaves_the_finite_range(self):
+        # infinite past t1 = 1: at c_0 = 0.5 and delta = (1, 1), a row at
+        # t1 = 0.6 gets an inf step and a row at t1 = 2 an inf - inf = nan step
+        def capped(theta):
+            t1, t2 = theta[..., 0], theta[..., 1]
+            return np.where(t1 > 1.0, np.inf, t1 * t1 + t2 * t2)
+
+        loss = LossFunction(name="tmp_capped", evaluator=capped, dimension=2)
+        problem = ProblemConfig(p=2, loss=loss, theta_star=(0, 0), sigma2=0.0, theta0=(0, 0))
+        schedule = GainSchedule(a=0.1, c=0.5)
+        starts = np.array([[0.0, 0.0], [0.4, -0.3], [0.6, 0.0], [2.0, 0.0]])
+        for rows, finite in (([0, 1], True), ([0, 2], False), ([3], False), ([1, 2, 3], False)):
+            theta = starts[rows]
+            zeros = np.zeros(len(rows))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                result = spsa_step(problem, schedule, 0, theta, np.ones_like(theta), zeros, zeros)
+            assert result is finite
+            assert np.isfinite(theta).all() == finite
+            assert np.isfinite(theta[np.array(rows) < 2]).all()
+
+
 class TestSpsaRun:
     def test_forced_delta_one_step(self):
         # step gain tuned so the first step size is exactly 0.01252
@@ -283,8 +327,10 @@ class TestSpsaRun:
             np.random.default_rng(9),
         )
         assert run.diverged
-        assert run.diverged_at is not None
-        assert np.isnan(run.trajectory[-1]).all()
+        assert run.diverged_at == 1
+        assert run.n_loss_evals == 4  # two per iteration taken, the failing one included
+        assert np.isfinite(run.trajectory[:2]).all()
+        assert np.isnan(run.trajectory[2:]).all()
 
 
 @pytest.mark.parametrize("dist", (BERNOULLI, SEGMENTED_UNIFORM), ids=lambda d: d.name)

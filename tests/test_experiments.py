@@ -2,6 +2,7 @@ import math
 import platform
 import threading
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -151,6 +152,14 @@ class TestPairedTTest:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError, match="finite differences; got .* at index 1"):
             paired_t_test((1.0, bad, 2.0))
+
+    def test_overflowing_spread_rejected(self):
+        # finite differences with a positive mean whose standard deviation
+        # overflows float64: no verdict, and no RuntimeWarning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="standard deviation inf: float64 overflow"):
+                paired_t_test((1e308, -1e308, 1e308))
 
     @pytest.mark.parametrize("df", (1, 2, 9, 49, 19_999, 99_999, 999_999))
     def test_p_value_bits_equal_scipy_t_sf(self, df):
