@@ -200,7 +200,7 @@ def standard_normal_from_uniform(u):
     """Map Uniform[0, 1) draws to standard normals, one draw per normal.
 
     Uses the inverse normal CDF instead of rejection-style samplers so the
-    number of uniforms consumed is fixed, which keeps counter-based streams
+    number of uniforms consumed is fixed, which keeps the seekable streams
     addressable. A draw of exactly 0.0 is nudged to the smallest positive
     representable draw.
     """

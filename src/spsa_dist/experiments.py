@@ -9,7 +9,7 @@ the pairing behind the matched-pairs t-test. The one-sided alternative is
 that the Bernoulli law has the larger MSE, matching the convention that small
 p-values favor the segmented uniform.
 
-All randomness comes from the counter-addressed streams in
+All randomness comes from the absolutely addressed streams in
 :mod:`spsa_dist.streams`, so results are bit-identical for a given
 (spec, master_seed) no matter how replicates are split into blocks or how
 many threads run them, and identical reruns produce byte-identical CSV files.

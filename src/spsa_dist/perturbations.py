@@ -131,7 +131,8 @@ class Bernoulli(PerturbationDistribution):
 
     def deltas_from_uniforms(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
-        return np.where(u[..., 0] < 0.5, -1.0, 1.0)
+        # the sign of u - 0.5: -1 below one half, +1 from it on (exact on [0, 1))
+        return np.copysign(1.0, u[..., 0] - 0.5)
 
 
 class SegmentedUniform(PerturbationDistribution):
@@ -151,10 +152,10 @@ class SegmentedUniform(PerturbationDistribution):
     def deltas_from_uniforms(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         # in place, to hold two arrays of the output's size rather than four
-        delta = _SEGMENT_WIDTH * u[..., 1]
+        delta = np.multiply(_SEGMENT_WIDTH, u[..., 1], out=np.empty(u.shape[:-1]))
         delta += self.inner
-        delta *= np.where(u[..., 0] < 0.5, -1.0, 1.0)
-        return delta
+        # negative iff u[..., 0] < 0.5, as in Bernoulli
+        return np.copysign(delta, u[..., 0] - 0.5, out=delta)
 
     def density(self, x):
         """Density of the law; zero on [-INNER, INNER] and outside the support."""

@@ -1,7 +1,8 @@
 """Deterministic, seekable uniform streams for replicated simulations.
 
-Streams are built on the counter-based Philox generator, so any block of
-draws can be produced directly from its address without generating the draws
+Streams are built on the PCG64DXSM generator, which spends one 64-bit word on
+each float64 draw and can jump to any word offset with ``advance``, so any
+block of draws can be produced from its address without generating the draws
 before it. An experiment uses one stream per randomness source (noise, one
 perturbation stream per distribution), each addressed by
 (master_seed, stream_tag).
@@ -17,12 +18,17 @@ and replicate r owns the ``words_per_rep`` consecutive draws starting at
 absolute, splitting the replicate range into chunks (or across workers) in
 any way reproduces bit-identical draws, and any single replicate can be
 regenerated in isolation.
+
+Seeding a generator costs about ten times a seek, so each thread keeps its
+last few seeded generators, one per (master_seed, stream_tag), and seeks them.
 """
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
-from numpy.random import Generator, Philox, SeedSequence
+from numpy.random import PCG64DXSM, Generator, SeedSequence
 
 __all__ = [
     "NOISE_STREAM",
@@ -35,21 +41,18 @@ NOISE_STREAM = 0
 BERNOULLI_STREAM = 1
 SEGMENTED_UNIFORM_STREAM = 2
 
-# Philox emits four 64-bit words per counter increment, and one float64 draw
-# consumes one word; advance() moves the counter, so offsets that are not
-# multiples of four need a short discard.
-_WORDS_PER_TICK = 4
+# Generators kept per thread: the three streams of two seeds.
+_MEMO_SIZE = 6
 
 
-def _generator_at(master_seed: int, stream_tag: int, word_offset: int) -> Generator:
-    bit_gen = Philox(seed=SeedSequence(entropy=(master_seed, stream_tag)))
-    ticks, remainder = divmod(word_offset, _WORDS_PER_TICK)
-    if ticks:
-        bit_gen.advance(ticks)
-    gen = Generator(bit_gen)
-    if remainder:
-        gen.random(remainder)
-    return gen
+class _Generators(threading.local):
+    def __init__(self):
+        # (master_seed, stream_tag) -> (generator, word position), least
+        # recently used first
+        self.memo: dict[tuple[int, int], tuple[Generator, int]] = {}
+
+
+_generators = _Generators()
 
 
 def uniform_block(
@@ -66,11 +69,20 @@ def uniform_block(
 
     Returns an array of shape (stop - start, words_per_rep) whose values
     depend only on the stream address, never on how the replicate range is
-    partitioned into calls.
+    partitioned into calls or in which order the calls are made.
     """
     if not 0 <= start <= stop <= n_reps:
         raise ValueError("replicate range must satisfy 0 <= start <= stop <= n_reps")
     offset = words_per_rep * (iteration * n_reps + start)
     count = (stop - start) * words_per_rep
-    gen = _generator_at(master_seed, stream_tag, offset)
-    return gen.random(count).reshape(stop - start, words_per_rep)
+    memo = _generators.memo
+    key = (master_seed, stream_tag)
+    # taken out while in use, so a draw that raises leaves no stale position
+    gen, position = memo.pop(key, None) or (Generator(PCG64DXSM(SeedSequence(key))), 0)
+    # advance wraps modulo 2**128, so a negative distance seeks backwards
+    gen.bit_generator.advance(offset - position)
+    u = gen.random(count).reshape(stop - start, words_per_rep)
+    memo[key] = (gen, offset + count)
+    if len(memo) > _MEMO_SIZE:
+        del memo[next(iter(memo))]
+    return u

@@ -110,7 +110,7 @@ def frozen_cliff_spec(quadratic_spec):
     """
     frozen = GainSchedule(a=0.0, c=0.52)
     return replace(
-        cliff_spec(quadratic_spec, master_seed=36),
+        cliff_spec(quadratic_spec, master_seed=1605),
         schedule_su=frozen,
         schedule_bern=frozen,
         k_values=(8,),
@@ -320,7 +320,7 @@ class TestRunExperiment:
         assert err.distribution in str(err)
 
     def test_divergence_names_first_failing_replicate(self, quadratic_spec, monkeypatch):
-        spec = cliff_spec(quadratic_spec, master_seed=1)
+        spec = cliff_spec(quadratic_spec, master_seed=3)
         first = int(diverging_rows(spec, BERNOULLI, streams.BERNOULLI_STREAM)[0])
         # the smallest diverging replicate is reported, and the Bernoulli law
         # steps first, so the seed is one where no segmented-uniform row before
@@ -334,7 +334,7 @@ class TestRunExperiment:
     def test_divergence_report_ignores_chunking(self, quadratic_spec, monkeypatch):
         # replicate 1 diverges under the segmented uniform and replicate 5 under
         # the Bernoulli law, so a chunk holding both must still name 1
-        spec = cliff_spec(quadratic_spec, master_seed=6)
+        spec = cliff_spec(quadratic_spec, master_seed=401)
         assert diverging_rows(spec, SEGMENTED_UNIFORM, streams.SEGMENTED_UNIFORM_STREAM)[0] == 1
         assert diverging_rows(spec, BERNOULLI, streams.BERNOULLI_STREAM)[0] == 5
         assert diverging_report(spec, monkeypatch, (CHUNK_SIZE, 5, 1)) == {

@@ -152,6 +152,29 @@ def test_scalar_and_vector_sampling_align(dist):
     assert np.array_equal(dist.deltas_from_uniforms(uniforms), vector)
 
 
+def where_sign_deltas(dist, u):
+    """The transforms in their earlier form, with the sign from ``np.where``."""
+    sign = np.where(u[..., 0] < 0.5, -1.0, 1.0)
+    if dist is BERNOULLI:
+        return sign
+    delta = 3.0 * math.sqrt(13.0) / 10.0 * u[..., 1]
+    delta += SEGMENT_INNER
+    return delta * sign
+
+
+@pytest.mark.parametrize("dist", BOTH, ids=lambda d: d.name)
+def test_sign_transform_matches_where_form_bit_for_bit(dist):
+    edges = [0.0, np.nextafter(0.5, 0.0), 0.5, 1.0 - 2.0**-53]
+    u = np.random.default_rng(18).random((1000, 2, dist.uniform_draws_per_component))
+    # each edge as the sign draw, paired with each edge as the magnitude draw
+    grid = np.array([(sign, magnitude) for sign in edges for magnitude in edges])
+    u[: len(grid), 0] = grid[:, : u.shape[-1]]
+    got = dist.deltas_from_uniforms(u)
+    assert got.shape == (1000, 2)
+    assert got.tobytes() == where_sign_deltas(dist, u).tobytes()
+    assert np.sign(got[: len(grid), 0]).tolist() == [-1.0] * 8 + [1.0] * 8
+
+
 @pytest.mark.parametrize("dist", BOTH, ids=lambda d: d.name)
 def test_fixed_draw_consumption(dist):
     n = 7

@@ -1,0 +1,121 @@
+import sys
+import threading
+
+import numpy as np
+import pytest
+from numpy.random import PCG64DXSM, Generator, SeedSequence
+
+from spsa_dist import streams
+
+N_REPS = 50
+WORDS = 3
+
+
+def oracle(seed, tag, *, iteration, start, stop):
+    """The addressed block, read from word 0 of a freshly seeded generator."""
+    first = WORDS * (iteration * N_REPS + start)
+    words = Generator(PCG64DXSM(SeedSequence((seed, tag)))).random(
+        WORDS * (iteration * N_REPS + stop)
+    )
+    return words[first:].reshape(stop - start, WORDS)
+
+
+def block(seed, tag, *, iteration, start, stop):
+    return streams.uniform_block(
+        seed, tag, n_reps=N_REPS, words_per_rep=WORDS, iteration=iteration, start=start, stop=stop
+    )
+
+
+def random_calls(rng, seeds, tags, n_calls):
+    """(seed, tag, iteration, start, stop) addresses in a random order, so
+    consecutive calls seek forwards, backwards and across streams."""
+    calls = []
+    for _ in range(n_calls):
+        start, stop = sorted(rng.integers(0, N_REPS + 1, size=2).tolist())
+        calls.append(
+            (int(rng.choice(seeds)), int(rng.choice(tags)), int(rng.integers(0, 4)), start, stop)
+        )
+    return calls
+
+
+def test_any_partition_of_the_replicates_gives_the_same_draws():
+    rng = np.random.default_rng(0)
+    for iteration in (0, 1, 7):
+        whole = oracle(5, streams.NOISE_STREAM, iteration=iteration, start=0, stop=N_REPS)
+        for _ in range(5):
+            cuts = [0, *sorted(rng.integers(0, N_REPS + 1, size=4).tolist()), N_REPS]
+            parts = [
+                block(5, streams.NOISE_STREAM, iteration=iteration, start=a, stop=b)
+                for a, b in zip(cuts, cuts[1:])
+            ]
+            assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
+def test_any_call_order_gives_the_addressed_draws():
+    rng = np.random.default_rng(1)
+    calls = random_calls(rng, seeds=(0, 1, 2**64 - 1), tags=(0, 1, 2), n_calls=200)
+    # the same address twice in a row is a zero seek, and a repeat after a
+    # later address a backward one
+    calls += [calls[-1], calls[0]]
+    for seed, tag, iteration, start, stop in calls:
+        got = block(seed, tag, iteration=iteration, start=start, stop=stop)
+        assert got.shape == (stop - start, WORDS)
+        want = oracle(seed, tag, iteration=iteration, start=start, stop=stop)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_threads_at_once_each_get_the_addressed_draws():
+    calls = random_calls(np.random.default_rng(2), seeds=(3, 4), tags=(0, 2), n_calls=2000)
+    wanted = [
+        oracle(seed, tag, iteration=k, start=start, stop=stop)
+        for seed, tag, k, start, stop in calls
+    ]
+    # more threads than cores, each walking the same streams in its own order
+    orders = [np.random.default_rng(i).permutation(len(calls)) for i in range(4)]
+    barrier = threading.Barrier(len(orders))
+    mismatches = []
+
+    def run(order):
+        barrier.wait(timeout=60)
+        for i in order:
+            seed, tag, k, start, stop = calls[i]
+            if block(seed, tag, iteration=k, start=start, stop=stop).tobytes() != wanted[i].tobytes():
+                mismatches.append(calls[i])
+
+    threads = [threading.Thread(target=run, args=(order,)) for order in orders]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("start, stop", [(-1, 2), (3, 2), (0, N_REPS + 1)])
+def test_invalid_replicate_range_raises(start, stop):
+    with pytest.raises(ValueError, match="replicate range"):
+        block(0, 0, iteration=0, start=start, stop=stop)
+
+
+def test_a_failed_draw_leaves_later_draws_addressed():
+    block(7, 0, iteration=1, start=0, stop=4)
+    with pytest.raises(ValueError):
+        # a negative word count fails after the generator has been seeked
+        streams.uniform_block(7, 0, n_reps=N_REPS, words_per_rep=-1, iteration=0, start=0, stop=2)
+    got = block(7, 0, iteration=1, start=4, stop=9)
+    assert got.tobytes() == oracle(7, 0, iteration=1, start=4, stop=9).tobytes()
+
+
+def test_generator_memo_stays_bounded():
+    for seed in range(100):
+        block(seed, 1, iteration=0, start=0, stop=1)
+    assert len(streams._generators.memo) == streams._MEMO_SIZE
+    # an evicted stream is seeded again, from its first word
+    assert block(0, 1, iteration=2, start=3, stop=5).tobytes() == (
+        oracle(0, 1, iteration=2, start=3, stop=5).tobytes()
+    )
