@@ -18,7 +18,9 @@ diverged run, an I/O error, or an allocation the machine refuses).
 from __future__ import annotations
 
 import argparse
+import errno
 import math
+import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -159,11 +161,20 @@ def _cmd_check(args) -> int:
     return 0
 
 
+def _check_out_path(out: str) -> None:
+    """Fail before any replicate runs, as opening ``out`` would after them."""
+    if os.path.isdir(out):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
+    if not os.path.isdir(os.path.dirname(out) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
+
+
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     out = args.out or cfg.out
     if out is None:
         raise _UsageError("no output path: pass --out or set 'out' in the config")
+    _check_out_path(out)
     result = run_experiment(cfg.experiment)
     write_csv(result, out)
     for est in result.estimates:
@@ -191,6 +202,8 @@ def _cmd_reproduce(args) -> int:
     base = cfg.experiment
     if args.seed is not None:
         base = replace(base, master_seed=args.seed)
+    out = args.out or f"{args.table}.csv"
+    _check_out_path(out)
     results = []
     for k_group, default_reps in table["groups"]:
         reps = args.reps if args.reps is not None else default_reps
@@ -225,7 +238,6 @@ def _cmd_reproduce(args) -> int:
             f"{k:>5} {est_b.mse:>10.4f} {ref_b:>9.4f} {est_s.mse:>10.4f} {ref_s:>9.4f} "
             f"{_format_p(cmp.p_value):>9} {est_b.n_reps:>8} {flags:>14}"
         )
-    out = args.out or f"{args.table}.csv"
     with open(out, "w", encoding="utf-8", newline="\n") as handle:
         for i, result in enumerate(results):
             if i:

@@ -274,10 +274,10 @@ def spsa_run(
 ) -> SpsaRun:
     """Run the optimizer for k_max iterations, returning the full trajectory.
 
-    Per-iteration random consumption order is fixed: the p perturbation
-    components (each consuming the distribution's fixed number of uniforms),
-    then the uniforms behind eps_plus and eps_minus, in that order. ``dist``
-    only needs a ``sample_array(rng, shape)`` method.
+    Per-iteration random consumption order is fixed: one uniform for each of
+    the p perturbation components, then the uniforms behind eps_plus and
+    eps_minus, in that order. ``dist`` only needs a ``sample_array(rng,
+    shape)`` method.
     """
     if k_max < 1:
         raise ValueError("k_max must be a positive integer")

@@ -245,17 +245,16 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             )
             eps *= sigma
             for dist, stream_tag, schedule in laws:
-                draws = dist.uniform_draws_per_component
                 delta = dist.deltas_from_uniforms(
                     streams.uniform_block(
                         spec.master_seed,
                         stream_tag,
                         n_reps=n,
-                        words_per_rep=p * draws,
+                        words_per_rep=p,
                         iteration=k,
                         start=start,
                         stop=stop,
-                    ).reshape(stop - start, p, draws)
+                    )
                 )
                 current = theta[dist.name]
                 finite = spsa_step(problem, schedule, k, current, delta, eps[:, 0], eps[:, 1])

@@ -18,9 +18,8 @@ perturbation distribution.
 
 All distribution objects are immutable and safe to share across threads.
 Randomness enters only through caller-supplied ``numpy.random.Generator``
-handles, and every component consumes a fixed number of uniform draws
-(1 for Bernoulli, 2 for segmented uniform), which keeps parallel replicate
-streams alignable.
+handles, and every component of either law is a function of exactly one
+uniform draw, which keeps parallel replicate streams alignable.
 """
 
 from __future__ import annotations
@@ -91,25 +90,18 @@ class PerturbationDistribution:
     """A symmetric, unit-variance law for perturbation-vector components."""
 
     name: str = ""
-    uniform_draws_per_component: int = 0
 
     def deltas_from_uniforms(self, u: np.ndarray) -> np.ndarray:
-        """Transform uniform draws into perturbation components.
+        """Map each uniform draw in [0, 1) to one component, elementwise.
 
-        ``u`` has shape ``(..., uniform_draws_per_component)`` with entries in
-        [0, 1); the result has shape ``(...)``. This is the pure transform
-        behind all sampling, exposed so that simulation harnesses can draw
-        their uniforms from seekable streams.
+        This is the pure transform behind all sampling, exposed so that
+        simulation harnesses can draw their uniforms from seekable streams.
         """
         raise NotImplementedError
 
     def sample_array(self, rng: np.random.Generator, shape) -> np.ndarray:
         """:meth:`deltas_from_uniforms` on the next draws of ``rng``, row-major."""
-        if isinstance(shape, int):
-            shape = (shape,)
-        total = int(np.prod(shape, dtype=int)) if shape else 1
-        u = rng.random((total, self.uniform_draws_per_component))
-        return self.deltas_from_uniforms(u).reshape(shape)
+        return self.deltas_from_uniforms(rng.random(shape))
 
     def moments(self) -> MomentSet:
         exact = _EXACT_MOMENTS[self.name]
@@ -127,35 +119,32 @@ class Bernoulli(PerturbationDistribution):
     """Two-point law on {-1, +1}, each with probability 1/2."""
 
     name = "bernoulli"
-    uniform_draws_per_component = 1
 
     def deltas_from_uniforms(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
         # the sign of u - 0.5: -1 below one half, +1 from it on (exact on [0, 1))
-        return np.copysign(1.0, u[..., 0] - 0.5)
+        return np.copysign(1.0, np.subtract(u, 0.5))
 
 
 class SegmentedUniform(PerturbationDistribution):
     """Uniform law on (-OUTER, -INNER) u (INNER, OUTER) with unit variance.
 
-    Sampling is sign-times-magnitude: one uniform draw picks the sign, a
-    second picks the magnitude uniformly on (INNER, OUTER). This is exact and
-    consumes exactly two draws per component, unlike rejection sampling.
+    Sampling inverts the cdf exactly, one uniform u per component:
+    ``copysign(INNER + 2 * (OUTER - INNER) * |u - 1/2|, u - 1/2)``.
     """
 
     name = "segmented_uniform"
-    uniform_draws_per_component = 2
     inner = SEGMENT_INNER
     outer = SEGMENT_OUTER
     density_value = _SEGMENT_DENSITY
 
     def deltas_from_uniforms(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        # in place, to hold two arrays of the output's size rather than four
-        delta = np.multiply(_SEGMENT_WIDTH, u[..., 1], out=np.empty(u.shape[:-1]))
+        centred = np.subtract(u, 0.5)
+        # in place, to hold two arrays of the output's size; out= keeps 0-d an array
+        delta = np.abs(centred, out=np.empty(np.shape(u)))
+        delta *= 2.0 * _SEGMENT_WIDTH
         delta += self.inner
-        # negative iff u[..., 0] < 0.5, as in Bernoulli
-        return np.copysign(delta, u[..., 0] - 0.5, out=delta)
+        # negative iff u < 0.5, as in Bernoulli
+        return np.copysign(delta, centred, out=delta)
 
     def density(self, x):
         """Density of the law; zero on [-INNER, INNER] and outside the support."""
@@ -186,18 +175,14 @@ class SegmentedUniform(PerturbationDistribution):
     def inverse_cdf(self, u):
         """Quantile function; strictly increasing on each half of the support.
 
-        u < 0.5 maps into (-OUTER, -INNER], u >= 0.5 maps into [INNER, OUTER).
-        The tie at u = 0.5 goes to +INNER, a fixed measure-zero convention.
+        This is :meth:`deltas_from_uniforms` with a domain check: u < 0.5 maps
+        into the negative segment and u >= 0.5 into the positive one. The tie
+        at u = 0.5 goes to +INNER, a fixed measure-zero convention.
         """
         u_arr = np.asarray(u, dtype=float)
         if np.any(u_arr < 0.0) or np.any(u_arr > 1.0):
             raise ValueError("inverse_cdf argument must lie in [0, 1]")
-        scale = 2.0 * _SEGMENT_WIDTH
-        value = np.where(
-            u_arr < 0.5,
-            -self.outer + scale * u_arr,
-            self.inner + scale * (u_arr - 0.5),
-        )
+        value = self.deltas_from_uniforms(u_arr)
         return float(value) if np.ndim(u) == 0 else value
 
 

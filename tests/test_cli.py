@@ -259,6 +259,31 @@ class TestReproduce:
         assert capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ("run", "reproduce"))
+@pytest.mark.parametrize(
+    "out, error",
+    (("missing/x.csv", "[Errno 2] No such file or directory"), ("dir", "[Errno 21] Is a directory")),
+    ids=("missing_directory", "directory"),
+)
+def test_unwritable_output_fails_before_any_replicate(
+    command, out, error, capsys, tmp_path, monkeypatch
+):
+    def never(spec):
+        raise AssertionError("run_experiment was called")
+
+    monkeypatch.setattr(cli, "run_experiment", never)
+    (tmp_path / "dir").mkdir()
+    args = {
+        "run": ["run", str(write_doc(tmp_path, small_run_doc()))],
+        "reproduce": ["reproduce", "table3"],
+    }[command]
+    before = sorted(tmp_path.rglob("*"))
+    out_path = tmp_path / out
+    assert cli.main(args + ["--out", str(out_path)]) == 2
+    assert capsys.readouterr().err == f"runtime failure: {error}: '{out_path}'\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 class TestUsage:
     def test_no_arguments(self, capsys):
         assert cli.main([]) == 1

@@ -301,15 +301,15 @@ class TestSpsaRun:
         assert run.n_loss_evals == 14
 
     def test_single_stream_reconstruction(self):
-        # per iteration: p components of two uniforms each, then the two
-        # uniforms behind eps_plus and eps_minus, all from the one generator
+        # per iteration: one uniform for each of the p components, then the
+        # two uniforms behind eps_plus and eps_minus, all from the one generator
         problem = quadratic_problem(sigma2=1.0)
         schedule = GainSchedule(a=0.01897, c=0.1)
         run = spsa_run(problem, schedule, SEGMENTED_UNIFORM, 5, np.random.default_rng(7))
         rng = np.random.default_rng(7)
         theta = np.array([0.3, 0.3])
         for k in range(5):
-            delta = SEGMENTED_UNIFORM.deltas_from_uniforms(rng.random((2, 2)))
+            delta = SEGMENTED_UNIFORM.deltas_from_uniforms(rng.random(2))
             eps_plus = float(core.standard_normal_from_uniform(rng.random()))
             eps_minus = float(core.standard_normal_from_uniform(rng.random()))
             grad = sp_gradient(problem, theta, schedule.gain_c(k), delta, eps_plus, eps_minus)

@@ -147,32 +147,46 @@ def test_sign_symmetry_ks(dist):
 
 @pytest.mark.parametrize("dist", BOTH, ids=lambda d: d.name)
 def test_scalar_and_vector_sampling_align(dist):
-    uniforms = np.random.default_rng(16).random((8, dist.uniform_draws_per_component))
+    uniforms = np.random.default_rng(16).random(8)
     vector = dist.sample_array(np.random.default_rng(16), 8)
     assert np.array_equal(dist.deltas_from_uniforms(uniforms), vector)
 
 
-def where_sign_deltas(dist, u):
-    """The transforms in their earlier form, with the sign from ``np.where``."""
-    sign = np.where(u[..., 0] < 0.5, -1.0, 1.0)
-    if dist is BERNOULLI:
-        return sign
-    delta = 3.0 * math.sqrt(13.0) / 10.0 * u[..., 1]
-    delta += SEGMENT_INNER
-    return delta * sign
+EDGES = [0.0, np.nextafter(0.5, 0.0), 0.5, 1.0 - 2.0**-53]
 
 
-@pytest.mark.parametrize("dist", BOTH, ids=lambda d: d.name)
+@pytest.mark.parametrize("dist", (BERNOULLI,), ids=lambda d: d.name)
 def test_sign_transform_matches_where_form_bit_for_bit(dist):
-    edges = [0.0, np.nextafter(0.5, 0.0), 0.5, 1.0 - 2.0**-53]
-    u = np.random.default_rng(18).random((1000, 2, dist.uniform_draws_per_component))
-    # each edge as the sign draw, paired with each edge as the magnitude draw
-    grid = np.array([(sign, magnitude) for sign in edges for magnitude in edges])
-    u[: len(grid), 0] = grid[:, : u.shape[-1]]
+    u = np.random.default_rng(18).random(1000)
+    u[: len(EDGES)] = EDGES
     got = dist.deltas_from_uniforms(u)
-    assert got.shape == (1000, 2)
-    assert got.tobytes() == where_sign_deltas(dist, u).tobytes()
-    assert np.sign(got[: len(grid), 0]).tolist() == [-1.0] * 8 + [1.0] * 8
+    assert got.shape == (1000,)
+    # the transform in its earlier form, with the sign from np.where
+    assert got.tobytes() == np.where(u < 0.5, -1.0, 1.0).tobytes()
+    assert got[: len(EDGES)].tolist() == [-1.0, -1.0, 1.0, 1.0]
+
+
+def test_segmented_uniform_edges():
+    got = SEGMENTED_UNIFORM.deltas_from_uniforms(np.array(EDGES))
+    assert got[0] == pytest.approx(-SEGMENT_OUTER, abs=1e-15)
+    assert got[1] == pytest.approx(-SEGMENT_INNER, abs=1e-15) and got[1] < -SEGMENT_INNER
+    assert got[2] == SEGMENT_INNER
+    assert got[3] == pytest.approx(SEGMENT_OUTER, abs=1e-15)
+
+
+def test_inverse_cdf_is_the_sampling_transform():
+    u = np.random.default_rng(19).random((300, 3))
+    u[0, : 3] = EDGES[1:]
+    su = SEGMENTED_UNIFORM
+    assert su.inverse_cdf(u).tobytes() == su.deltas_from_uniforms(u).tobytes()
+    assert su.inverse_cdf(u[5, 1]) == su.deltas_from_uniforms(u[5, 1:2])[0]
+
+
+def test_segmented_uniform_samples_follow_cdf():
+    n = 100_000
+    x = SEGMENTED_UNIFORM.sample_array(np.random.default_rng(20), n)
+    result = stats.kstest(x, SEGMENTED_UNIFORM.cdf)
+    assert result.pvalue > 0.01
 
 
 @pytest.mark.parametrize("dist", BOTH, ids=lambda d: d.name)
@@ -182,7 +196,7 @@ def test_fixed_draw_consumption(dist):
     dist.sample_array(rng, n)
     probe_after = rng.random()
     reference = np.random.default_rng(17)
-    reference.random(n * dist.uniform_draws_per_component)
+    reference.random(n)
     assert probe_after == reference.random()
 
 
