@@ -195,8 +195,8 @@ def parse_config(text: str, source: str = "<config>") -> CliConfig:
         if third_derivative_bound < 0.0:
             raise ConfigError(f"{source}: third_derivative_bound must be nonnegative")
     out = mapping.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError(f"{source}: out must be a string path")
+    if out is not None and not (isinstance(out, str) and out):
+        raise ConfigError(f"{source}: out must be a non-empty string path")
 
     return CliConfig(
         experiment=experiment,

@@ -50,6 +50,9 @@ __all__ = [
 ]
 
 CHUNK_SIZE = 1 << 18
+# Float64 words per row tile of a block step: each (rows, p) temporary of a
+# tile takes 512 KiB and stays in cache.
+_TILE_WORDS = 1 << 16
 # Threads that run replicate blocks: the CPUs this process may run on, so
 # `taskset -c 0` makes a run serial.
 WORKERS = (
@@ -204,6 +207,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     }
 
     n_blocks = min(n, max(WORKERS, -(-n // CHUNK_SIZE)))
+    tile_rows = max(1, _TILE_WORDS // p)
     # Index of the lowest block that has diverged, or -1 once a block raised;
     # a block stops at its next iteration when this falls below its own index.
     first_failed = n_blocks
@@ -223,66 +227,64 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
 
     def step_block(index: int) -> DivergedRunError | None:
         start = index * n // n_blocks
-        stop = (index + 1) * n // n_blocks
-        theta = {dist.name: np.tile(theta0, (stop - start, 1)) for dist, _, _ in laws}
+        rows = (index + 1) * n // n_blocks - start
+        theta = {dist.name: np.tile(theta0, (rows, 1)) for dist, _, _ in laws}
+        # One draw buffer per stream, refilled at every iteration. The steps
+        # then run over row tiles, whose temporaries stay in cache where
+        # block-sized ones would go through memory (and, freed, be faulted
+        # back in at the next iteration).
+        draws = {streams.NOISE_STREAM: np.empty((rows, 2))}
+        for _, stream_tag, _ in laws:
+            draws[stream_tag] = np.empty((rows, p))
         diverged = None
         for k in range(k_max):
             if first_failed < index:
                 return diverged
-            # Every array is dropped or overwritten once used (bit-identical to
-            # the out-of-place forms): blocks run concurrently, so the
-            # working set per row sets the peak memory.
-            eps = standard_normal_from_uniform(
+            for stream_tag, buffer in draws.items():
                 streams.uniform_block(
                     spec.master_seed,
-                    streams.NOISE_STREAM,
+                    stream_tag,
                     n_reps=n,
-                    words_per_rep=2,
+                    words_per_rep=buffer.shape[1],
                     iteration=k,
                     start=start,
-                    stop=stop,
+                    stop=start + rows,
+                    out=buffer[:rows],
                 )
-            )
-            eps *= sigma
-            for dist, stream_tag, schedule in laws:
-                delta = dist.deltas_from_uniforms(
-                    streams.uniform_block(
-                        spec.master_seed,
-                        stream_tag,
-                        n_reps=n,
-                        words_per_rep=p,
-                        iteration=k,
-                        start=start,
-                        stop=stop,
-                    )
-                )
-                current = theta[dist.name]
-                finite = spsa_step(problem, schedule, k, current, delta, eps[:, 0], eps[:, 1])
-                del delta
-                if not finite:
-                    r = int(np.flatnonzero(~np.isfinite(current).all(axis=1))[0])
-                    diverged = DivergedRunError(start + r, dist.name, k)
-                    fail(index)
-                    if r == 0:
-                        return diverged
-                    # only rows before r can still be the first to diverge
-                    stop = start + r
-                    theta = {name: rows[:r] for name, rows in theta.items()}
-                    eps = eps[:r]
-            del eps
-            if (k + 1) in wanted_k:
-                for name, rows in theta.items():
-                    err = rows - theta_star
-                    with np.errstate(over="ignore"):  # checked after the last block
-                        err *= err
-                        squared_errors[(name, k + 1)][start:stop] = err.sum(axis=1)
-                    del err
+            a = 0
+            while a < rows:
+                b = min(a + tile_rows, rows)
+                eps = standard_normal_from_uniform(draws[streams.NOISE_STREAM][a:b])
+                eps *= sigma
+                for dist, stream_tag, schedule in laws:
+                    if a == b:
+                        break
+                    current = theta[dist.name][a:b]
+                    delta = dist.deltas_from_uniforms(draws[stream_tag][a:b])
+                    if not spsa_step(problem, schedule, k, current, delta, eps[:, 0], eps[:, 1]):
+                        r = a + int(np.flatnonzero(~np.isfinite(current).all(axis=1))[0])
+                        diverged = DivergedRunError(start + r, dist.name, k)
+                        fail(index)
+                        if r == 0:
+                            return diverged
+                        # only rows before r can still be the first to
+                        # diverge, so the later laws and tiles skip the rest
+                        rows = b = r
+                        eps = eps[: r - a]
+                if (k + 1) in wanted_k:
+                    for name, values in theta.items():
+                        err = values[a:b] - theta_star
+                        with np.errstate(over="ignore"):  # checked after the last block
+                            err *= err
+                            squared_errors[(name, k + 1)][start + a : start + b] = err.sum(axis=1)
+                a = b
         return diverged
 
     # glibc hands a freed heap top over its trim threshold back to the kernel,
-    # so each block iteration would fault its temporaries in again (3e5 minor
-    # faults per `reproduce table3 --reps 20000`). Freeing one mapped 4 MiB
-    # array moves glibc's thresholds to 4 MiB (mmap) and 8 MiB (trim).
+    # so each block iteration would fault its temporaries in again (1.6e4 in
+    # place of 5e3 minor faults per run at 10^6 replicates, k <= 10, on the
+    # bundled quadratic). Freeing one mapped 4 MiB array moves glibc's
+    # thresholds to 4 MiB (mmap) and 8 MiB (trim).
     np.empty(1 << 19)
     with ThreadPoolExecutor(max_workers=min(WORKERS, n_blocks)) as pool:
         futures = [pool.submit(run_block, index) for index in range(n_blocks)]

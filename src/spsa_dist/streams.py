@@ -64,15 +64,21 @@ def uniform_block(
     iteration: int,
     start: int,
     stop: int,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Uniform draws for replicates [start, stop) at one iteration.
 
     Returns an array of shape (stop - start, words_per_rep) whose values
     depend only on the stream address, never on how the replicate range is
-    partitioned into calls or in which order the calls are made.
+    partitioned into calls or in which order the calls are made. With
+    ``out``, a C-contiguous float64 array of that shape, the same words are
+    written into it and ``out`` is returned; any other ``out`` raises.
     """
     if not 0 <= start <= stop <= n_reps:
         raise ValueError("replicate range must satisfy 0 <= start <= stop <= n_reps")
+    # numpy fills a Fortran-ordered out in memory order, transposing the draws
+    if out is not None and not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
     offset = words_per_rep * (iteration * n_reps + start)
     count = (stop - start) * words_per_rep
     memo = _generators.memo
@@ -81,8 +87,11 @@ def uniform_block(
     gen, position = memo.pop(key, None) or (Generator(PCG64DXSM(SeedSequence(key))), 0)
     # advance wraps modulo 2**128, so a negative distance seeks backwards
     gen.bit_generator.advance(offset - position)
-    u = gen.random(count).reshape(stop - start, words_per_rep)
+    if out is None:
+        out = gen.random(count).reshape(stop - start, words_per_rep)
+    else:
+        gen.random((stop - start, words_per_rep), out=out)
     memo[key] = (gen, offset + count)
     if len(memo) > _MEMO_SIZE:
         del memo[next(iter(memo))]
-    return u
+    return out

@@ -191,6 +191,19 @@ class TestRun:
         assert cli.main(["run", str(path)]) == 1
         assert "--out" in capsys.readouterr().err
 
+    def test_empty_out_in_config_fails_before_any_replicate(self, capsys, tmp_path, monkeypatch):
+        def never(spec):
+            raise AssertionError("run_experiment was called")
+
+        monkeypatch.setattr(cli, "run_experiment", never)
+        monkeypatch.chdir(tmp_path)
+        doc = small_run_doc(n_reps=100)
+        doc["out"] = ""
+        path = write_doc(tmp_path, doc)
+        assert cli.main(["run", str(path)]) == 1
+        assert "out must be a non-empty string path" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [path]
+
     def test_divergence_exit_code(self, capsys, tmp_path):
         doc = json.loads(bundled_config_text("quartic"))
         doc["k_values"] = [25]

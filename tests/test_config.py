@@ -166,6 +166,9 @@ def test_semantic_errors():
     doc["out"] = 7
     with pytest.raises(ConfigError, match="out"):
         parse_doc(doc)
+    doc["out"] = ""
+    with pytest.raises(ConfigError, match="out must be a non-empty string path"):
+        parse_doc(doc)
 
 
 def test_syntax_error_has_line_diagnostic():
@@ -205,7 +208,7 @@ valid_configs = st.builds(
         master_seed=st.integers(0, 2**64 - 1),
     ),
     third_derivative_bound=st.none() | nonnegative,
-    out=st.none() | st.text(),
+    out=st.none() | st.text(min_size=1),
 )
 
 # numeric leaves of a config document, as (path in the error, key path)

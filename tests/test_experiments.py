@@ -32,28 +32,30 @@ from spsa_dist.perturbations import BERNOULLI, SEGMENTED_UNIFORM
 from spsa_dist.theory import condition_lhs_explicit, condition_input_from_problem
 
 WORKER_COUNTS = (1, 2, 3)
+# float64 words per row tile of a block step: the default, and 7- and 1-row
+# tiles at p = 2
+TILE_WORDS = (experiments._TILE_WORDS, 14, 2)
 
 
 def small_spec(quadratic_spec, *, k_values=(1,), n_reps=2000, **overrides):
     return replace(quadratic_spec, k_values=k_values, n_reps=n_reps, **overrides)
 
 
-def cliff_spec(quadratic_spec, *, master_seed):
-    """One step from (1, 1) with c_0 = 1 on a loss that is infinite where both
-    coordinates exceed 1.5, so a row diverges iff both components of its
+def cliff_spec(quadratic_spec, *, master_seed, p=2):
+    """One step from (1, ..., 1) with c_0 = 1 on a loss that is infinite where
+    all p coordinates exceed 1.5, so a row diverges iff all components of its
     perturbation exceed 0.5 in magnitude with the same sign.
     """
 
     def cliff(theta):
-        t1, t2 = theta[..., 0], theta[..., 1]
-        return np.where((t1 > 1.5) & (t2 > 1.5), np.inf, t1 * t1 - t1 * t2 + t2 * t2)
+        return np.where((theta > 1.5).all(axis=-1), np.inf, (theta * theta).sum(axis=-1))
 
     problem = ProblemConfig(
-        p=2,
-        loss=LossFunction(name="cliff", evaluator=cliff, dimension=2),
-        theta_star=(0.0, 0.0),
+        p=p,
+        loss=LossFunction(name="cliff", evaluator=cliff, dimension=p),
+        theta_star=(0.0,) * p,
         sigma2=1.0,
-        theta0=(1.0, 1.0),
+        theta0=(1.0,) * p,
     )
     gains = GainSchedule(a=0.1, c=1.0)
     return replace(
@@ -75,7 +77,7 @@ def diverging_rows(spec, dist, stream_tag, iteration=0):
         spec.master_seed,
         stream_tag,
         n_reps=spec.n_reps,
-        words_per_rep=2,
+        words_per_rep=spec.problem.p,
         iteration=iteration,
         start=0,
         stop=spec.n_reps,
@@ -99,19 +101,30 @@ def smallest_seed(make_spec, scenario, limit=5000):
     raise AssertionError(f"no seed below {limit} sets up the scenario")
 
 
+def sparse_cliff_spec(quadratic_spec, *, master_seed):
+    """:func:`cliff_spec` in three dimensions with c_0 = 0.6 for the segmented
+    uniform, so a row reaches the cliff with probability 1/4 under the
+    Bernoulli law and about 1/18 under the segmented uniform.
+    """
+    spec = cliff_spec(quadratic_spec, master_seed=master_seed, p=3)
+    return replace(spec, schedule_su=GainSchedule(a=0.1, c=0.6))
+
+
 def diverging_report(spec, monkeypatch, chunk_sizes):
     """The (replicate, law, iteration) tuples that :func:`run_experiment` reports
-    for ``spec`` under each chunk size and worker count.
+    for ``spec`` under each chunk size, worker count and row tile size.
     """
     reports = set()
-    for workers in WORKER_COUNTS:
-        monkeypatch.setattr(experiments, "WORKERS", workers)
-        for chunk_size in chunk_sizes:
-            monkeypatch.setattr(experiments, "CHUNK_SIZE", chunk_size)
-            with pytest.raises(DivergedRunError) as info:
-                run_experiment(spec)
-            err = info.value
-            reports.add((err.replicate, err.distribution, err.iteration))
+    for tile_words in TILE_WORDS:
+        monkeypatch.setattr(experiments, "_TILE_WORDS", tile_words)
+        for workers in WORKER_COUNTS:
+            monkeypatch.setattr(experiments, "WORKERS", workers)
+            for chunk_size in chunk_sizes:
+                monkeypatch.setattr(experiments, "CHUNK_SIZE", chunk_size)
+                with pytest.raises(DivergedRunError) as info:
+                    run_experiment(spec)
+                err = info.value
+                reports.add((err.replicate, err.distribution, err.iteration))
     return reports
 
 
@@ -157,20 +170,26 @@ def frozen_cliff_spec(quadratic_spec):
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's heap trimming")
 def test_block_iterations_do_not_refault_their_temporaries(fresh_python):
-    # Without the threshold lift in run_experiment, the second run takes about
-    # 6000 minor page faults here (one block iteration's temporaries each time).
+    # Without the threshold lift in run_experiment, the second quartic run takes
+    # about 6000 minor page faults here (one block iteration's temporaries each
+    # time). Stepping whole 2^18-row blocks in place of row tiles, the second
+    # quadratic run took 4.4e4.
     code = """
 import resource
 from dataclasses import replace
 from spsa_dist.config import bundled_config_text, parse_config
 from spsa_dist.experiments import run_experiment
-spec = replace(parse_config(bundled_config_text("quartic")).experiment, k_values=(50,), n_reps=20000)
+spec = replace(
+    parse_config(bundled_config_text("{config}")).experiment, k_values=({k},), n_reps={n_reps}
+)
 run_experiment(spec)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 run_experiment(spec)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
-    assert int(fresh_python(code)) < 1000
+    for config, k, n_reps, bound in (("quartic", 50, 20000, 1000), ("quadratic", 5, 2**19, 10**4)):
+        faults = int(fresh_python(code.format(config=config, k=k, n_reps=n_reps)))
+        assert faults < bound, (config, faults)
 
 
 class TestPairedTTest:
@@ -267,14 +286,22 @@ class TestRunExperiment:
         rerun = run_experiment(spec)
         for key, values in baseline.squared_errors.items():
             assert np.array_equal(values, rerun.squared_errors[key])
-        for workers in WORKER_COUNTS:
+        # every worker count and block size at the default and 7-row tiles;
+        # 1-row tiles cost a second per run, so they get one split
+        splits = [
+            (tile_words, workers, chunk_size)
+            for tile_words in TILE_WORDS[:2]
+            for workers in WORKER_COUNTS
+            for chunk_size in (CHUNK_SIZE, 997, 100)
+        ] + [(TILE_WORDS[2], 3, 997)]
+        for tile_words, workers, chunk_size in splits:
+            monkeypatch.setattr(experiments, "_TILE_WORDS", tile_words)
             monkeypatch.setattr(experiments, "WORKERS", workers)
-            for chunk_size in (CHUNK_SIZE, 997, 100):
-                monkeypatch.setattr(experiments, "CHUNK_SIZE", chunk_size)
-                blocked = run_experiment(spec)
-                for key, values in baseline.squared_errors.items():
-                    assert np.array_equal(values, blocked.squared_errors[key])
-                assert render_csv(baseline) == render_csv(blocked)
+            monkeypatch.setattr(experiments, "CHUNK_SIZE", chunk_size)
+            blocked = run_experiment(spec)
+            for key, values in baseline.squared_errors.items():
+                assert np.array_equal(values, blocked.squared_errors[key])
+            assert render_csv(baseline) == render_csv(blocked)
 
     def test_k_subset_harvests_same_errors(self, quadratic_spec):
         spec_all = small_spec(quadratic_spec, k_values=(1, 3), n_reps=500)
@@ -388,6 +415,59 @@ class TestRunExperiment:
         assert diverging_rows(spec, BERNOULLI, streams.BERNOULLI_STREAM)[0] == 5
         assert diverging_report(spec, monkeypatch, (CHUNK_SIZE, 5, 1)) == {
             (1, "segmented_uniform", 0)
+        }
+
+    def test_divergence_in_a_later_tile(self, quadratic_spec, monkeypatch):
+        tile = TILE_WORDS[1] // 3  # rows per 14-word tile at p = 3
+
+        def scenario(spec):
+            bern = diverging_rows(spec, BERNOULLI, streams.BERNOULLI_STREAM)
+            su = diverging_rows(spec, SEGMENTED_UNIFORM, streams.SEGMENTED_UNIFORM_STREAM)
+            return (
+                bern.size > 0
+                and bern[0] > tile
+                and bern[0] % tile > 0
+                and (su.size == 0 or su[0] > bern[0])
+            )
+
+        spec = smallest_seed(
+            lambda seed: sparse_cliff_spec(quadratic_spec, master_seed=seed), scenario
+        )
+        first = int(diverging_rows(spec, BERNOULLI, streams.BERNOULLI_STREAM)[0])
+        su = diverging_rows(spec, SEGMENTED_UNIFORM, streams.SEGMENTED_UNIFORM_STREAM)
+        # under 4-row tiles the Bernoulli law cuts a later tile after its first
+        # row, and the segmented uniform steps the rows before the cut cleanly
+        assert first > tile and first % tile > 0
+        assert su.size == 0 or su[0] > first
+        assert diverging_report(spec, monkeypatch, (CHUNK_SIZE, 5, 1)) == {
+            (first, "bernoulli", 0)
+        }
+
+    def test_divergence_below_a_cut_in_the_same_tile(self, quadratic_spec, monkeypatch):
+        tile = TILE_WORDS[1] // 3  # rows per 14-word tile at p = 3
+
+        def scenario(spec):
+            bern = diverging_rows(spec, BERNOULLI, streams.BERNOULLI_STREAM)
+            su = diverging_rows(spec, SEGMENTED_UNIFORM, streams.SEGMENTED_UNIFORM_STREAM)
+            return (
+                bern.size > 0
+                and su.size > 0
+                and tile < su[0] < bern[0]
+                and su[0] % tile > 0
+                and su[0] // tile == bern[0] // tile
+            )
+
+        spec = smallest_seed(
+            lambda seed: sparse_cliff_spec(quadratic_spec, master_seed=seed), scenario
+        )
+        bern = int(diverging_rows(spec, BERNOULLI, streams.BERNOULLI_STREAM)[0])
+        su = int(diverging_rows(spec, SEGMENTED_UNIFORM, streams.SEGMENTED_UNIFORM_STREAM)[0])
+        # under 4-row tiles both rows lie inside one later tile: the Bernoulli
+        # law, stepping first, cuts it at `bern`, and the segmented uniform then
+        # diverges at the smaller row `su` of what is left
+        assert tile < su < bern and su % tile > 0 and su // tile == bern // tile
+        assert diverging_report(spec, monkeypatch, (CHUNK_SIZE, 5, 1)) == {
+            (su, "segmented_uniform", 0)
         }
 
     def test_divergence_names_smaller_replicate_failing_later(self, frozen_cliff_spec, monkeypatch):

@@ -119,3 +119,54 @@ def test_generator_memo_stays_bounded():
     assert block(0, 1, iteration=2, start=3, stop=5).tobytes() == (
         oracle(0, 1, iteration=2, start=3, stop=5).tobytes()
     )
+
+
+def test_out_gets_the_same_words_under_any_partition():
+    rng = np.random.default_rng(3)
+    for iteration in (0, 2):
+        whole = block(9, streams.SEGMENTED_UNIFORM_STREAM, iteration=iteration, start=0, stop=N_REPS)
+        for _ in range(5):
+            cuts = [0, *sorted(rng.integers(0, N_REPS + 1, size=4).tolist()), N_REPS]
+            # one reused buffer, as a harness block fills it, filled part by part
+            buffer = np.full((N_REPS, WORDS), np.nan)
+            for a, b in zip(cuts, cuts[1:]):
+                out = buffer[a:b]
+                got = streams.uniform_block(
+                    9,
+                    streams.SEGMENTED_UNIFORM_STREAM,
+                    n_reps=N_REPS,
+                    words_per_rep=WORDS,
+                    iteration=iteration,
+                    start=a,
+                    stop=b,
+                    out=out,
+                )
+                assert got is out
+            assert buffer.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize(
+    "out",
+    [
+        np.empty((4, WORDS + 1)),
+        np.empty(4 * WORDS),
+        np.empty((4, WORDS), dtype=np.float32),
+        np.empty((4, 2 * WORDS))[:, ::2],
+        np.empty((WORDS, 4)).T,
+    ],
+    ids=["wrong_shape", "flat", "float32", "strided", "fortran_order"],
+)
+def test_a_wrong_out_raises_and_later_draws_stay_addressed(out):
+    block(8, 1, iteration=0, start=0, stop=3)
+    with pytest.raises((ValueError, TypeError)):
+        streams.uniform_block(
+            8, 1, n_reps=N_REPS, words_per_rep=WORDS, iteration=1, start=2, stop=6, out=out
+        )
+    buffer = np.empty((4, WORDS))
+    streams.uniform_block(
+        8, 1, n_reps=N_REPS, words_per_rep=WORDS, iteration=1, start=6, stop=10, out=buffer
+    )
+    assert buffer.tobytes() == oracle(8, 1, iteration=1, start=6, stop=10).tobytes()
+    assert block(8, 1, iteration=0, start=3, stop=5).tobytes() == (
+        oracle(8, 1, iteration=0, start=3, stop=5).tobytes()
+    )
