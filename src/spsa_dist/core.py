@@ -13,10 +13,13 @@ Gain sequences take the fixed power-law forms
 
 with base constants a, c chosen per problem.
 
-Noise is Gaussian. Normals are produced by applying the inverse
-normal CDF to uniform draws so that every evaluation consumes a fixed number
-of draws; this keeps random streams seekable for the replicated experiment
-harness. Runs are pure functions of (configuration, seed).
+Noise is Gaussian. The gradient estimate uses the two noisy evaluations only
+through their difference, so each iteration draws the noise difference
+eps_plus - eps_minus as one N(0, 2 * sigma2) normal. Normals are produced by
+applying the inverse normal CDF to uniform draws, so each iteration consumes
+p + 1 uniforms: one per perturbation component and one for the noise; this
+keeps random streams seekable for the replicated experiment harness. Runs are
+pure functions of (configuration, seed).
 """
 
 from __future__ import annotations
@@ -207,23 +210,17 @@ def standard_normal_from_uniform(u):
     return ndtri(np.maximum(u, _MIN_UNIFORM))
 
 
-def sp_gradient(
-    problem: ProblemConfig,
-    theta,
-    c_k: float,
-    delta,
-    eps_plus,
-    eps_minus,
-) -> np.ndarray:
+def sp_gradient(problem: ProblemConfig, theta, c_k: float, delta, noise) -> np.ndarray:
     """Simultaneous-perturbation gradient estimate from two evaluations.
 
-    Component i is [y(theta + c_k*delta) - y(theta - c_k*delta)] / (2*c_k*delta_i)
-    with the supplied noise realizations attached to the two evaluations.
-    Exactly two loss evaluations are performed regardless of dimension.
+    Component i is [L(theta + c_k*delta) - L(theta - c_k*delta) + noise] /
+    (2*c_k*delta_i), where ``noise`` is the difference eps_plus - eps_minus of
+    the two evaluations' measurement noises. Exactly two loss evaluations are
+    performed regardless of dimension.
 
-    ``theta`` and ``delta`` have shape (..., p) and the noise terms shape
-    (...), so a block of replicates steps in one call; row r of the result
-    equals the call on row r alone, bit for bit.
+    ``theta`` and ``delta`` have shape (..., p) and ``noise`` shape (...), so
+    a block of replicates steps in one call; row r of the result equals the
+    call on row r alone, bit for bit.
     """
     theta = np.asarray(theta, dtype=float)
     delta = np.asarray(delta, dtype=float)
@@ -231,19 +228,27 @@ def sp_gradient(
         raise ValueError(f"theta and delta must have the same shape (..., {problem.p})")
     if not (c_k > 0.0):
         raise ValueError("c_k must be positive")
-    if np.any(delta == 0.0):
+    # counts -0.0 as zero and NaN as nonzero, as delta == 0.0 does
+    if np.count_nonzero(delta) != delta.size:
         raise ValueError("perturbation components must be nonzero")
-    y_plus = problem.loss.evaluator(theta + c_k * delta) + eps_plus
-    y_minus = problem.loss.evaluator(theta - c_k * delta) + eps_minus
-    return np.asarray(y_plus - y_minus)[..., None] / (2.0 * c_k * delta)
+    shift = c_k * delta
+    point = theta + shift
+    # a new array, so ``point`` is free again even if the result is a view of it
+    diff = problem.loss.evaluator(point) + noise
+    diff -= problem.loss.evaluator(np.subtract(theta, shift, out=point))
+    shift *= 2.0
+    return np.divide(np.asarray(diff)[..., None], shift, out=shift)
 
 
 def spsa_step(
-    problem: ProblemConfig, schedule: GainSchedule, k: int, theta: np.ndarray, delta, eps_plus, eps_minus
+    problem: ProblemConfig, schedule: GainSchedule, k: int, theta: np.ndarray, delta, noise
 ) -> bool:
-    """Step the float rows ``theta`` (..., p) from iterate k in place; True if all stay finite."""
+    """Step the float rows ``theta`` (..., p) from iterate k in place; True if all stay finite.
+
+    ``noise`` (...) is each row's measurement-noise difference, as in :func:`sp_gradient`.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        step = sp_gradient(problem, theta, schedule.gain_c(k), delta, eps_plus, eps_minus)
+        step = sp_gradient(problem, theta, schedule.gain_c(k), delta, noise)
         step *= schedule.gain_a(k)
         theta -= step
     return bool(np.isfinite(theta).all())
@@ -274,21 +279,21 @@ def spsa_run(
 ) -> SpsaRun:
     """Run the optimizer for k_max iterations, returning the full trajectory.
 
-    Per-iteration random consumption order is fixed: one uniform for each of
-    the p perturbation components, then the uniforms behind eps_plus and
-    eps_minus, in that order. ``dist`` only needs a ``sample_array(rng,
+    Each iteration consumes p + 1 uniforms of ``rng``: one for each of the p
+    perturbation components, then one behind the N(0, 2 * sigma2) noise
+    difference, in that order. ``dist`` only needs a ``sample_array(rng,
     shape)`` method.
     """
     if k_max < 1:
         raise ValueError("k_max must be a positive integer")
-    sigma = math.sqrt(problem.sigma2)
+    noise_scale = math.sqrt(2.0 * problem.sigma2)
     theta = np.array(problem.theta0, dtype=float)
     trajectory = np.full((k_max + 1, problem.p), np.nan)
     trajectory[0] = theta
     for k in range(k_max):
         delta = dist.sample_array(rng, problem.p)
-        eps_plus, eps_minus = sigma * standard_normal_from_uniform(rng.random(2))
-        if not spsa_step(problem, schedule, k, theta, delta, eps_plus, eps_minus):
+        noise = noise_scale * standard_normal_from_uniform(rng.random())
+        if not spsa_step(problem, schedule, k, theta, delta, noise):
             return SpsaRun(trajectory, 2 * (k + 1), diverged=True, diverged_at=k)
         trajectory[k + 1] = theta
     return SpsaRun(trajectory, 2 * k_max)

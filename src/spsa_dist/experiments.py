@@ -3,11 +3,13 @@
 For each replicate the harness runs the optimizer once per distribution to
 the largest requested iteration count, recording the squared error
 ||theta_k - theta*||^2 at every requested k from that single trajectory. The
-two runs of a replicate share the same noise stream (common random numbers)
-while each distribution draws its perturbations from its own stream; this is
-the pairing behind the matched-pairs t-test. The one-sided alternative is
-that the Bernoulli law has the larger MSE, matching the convention that small
-p-values favor the segmented uniform.
+two runs of a replicate share the same noise stream (common random numbers),
+which holds one word per replicate and iteration for the N(0, 2 * sigma2)
+difference of the two measurement noises, while each distribution draws its
+p perturbation components from its own stream; this is the pairing behind
+the matched-pairs t-test. The one-sided alternative is that the Bernoulli law
+has the larger MSE, matching the convention that small p-values favor the
+segmented uniform.
 
 All randomness comes from the absolutely addressed streams in
 :mod:`spsa_dist.streams`, so results are bit-identical for a given
@@ -196,7 +198,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     problem = spec.problem
     p = problem.p
     n = spec.n_reps
-    sigma = math.sqrt(problem.sigma2)
+    noise_scale = math.sqrt(2.0 * problem.sigma2)
     theta_star = np.asarray(problem.theta_star)
     theta0 = np.asarray(problem.theta0)
     k_max = spec.k_values[-1]
@@ -233,7 +235,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         # then run over row tiles, whose temporaries stay in cache where
         # block-sized ones would go through memory (and, freed, be faulted
         # back in at the next iteration).
-        draws = {streams.NOISE_STREAM: np.empty((rows, 2))}
+        draws = {streams.NOISE_STREAM: np.empty((rows, 1))}
         for _, stream_tag, _ in laws:
             draws[stream_tag] = np.empty((rows, p))
         diverged = None
@@ -254,14 +256,14 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             a = 0
             while a < rows:
                 b = min(a + tile_rows, rows)
-                eps = standard_normal_from_uniform(draws[streams.NOISE_STREAM][a:b])
-                eps *= sigma
+                noise = standard_normal_from_uniform(draws[streams.NOISE_STREAM][a:b, 0])
+                noise *= noise_scale
                 for dist, stream_tag, schedule in laws:
                     if a == b:
                         break
                     current = theta[dist.name][a:b]
                     delta = dist.deltas_from_uniforms(draws[stream_tag][a:b])
-                    if not spsa_step(problem, schedule, k, current, delta, eps[:, 0], eps[:, 1]):
+                    if not spsa_step(problem, schedule, k, current, delta, noise):
                         r = a + int(np.flatnonzero(~np.isfinite(current).all(axis=1))[0])
                         diverged = DivergedRunError(start + r, dist.name, k)
                         fail(index)
@@ -270,7 +272,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                         # only rows before r can still be the first to
                         # diverge, so the later laws and tiles skip the rest
                         rows = b = r
-                        eps = eps[: r - a]
+                        noise = noise[: r - a]
                 if (k + 1) in wanted_k:
                     for name, values in theta.items():
                         err = values[a:b] - theta_star

@@ -76,6 +76,11 @@ def uniform_block(
     """
     if not 0 <= start <= stop <= n_reps:
         raise ValueError("replicate range must satisfy 0 <= start <= stop <= n_reps")
+    # a negative address would wrap to the far end of the stream
+    if iteration < 0:
+        raise ValueError(f"iteration must be nonnegative, got {iteration}")
+    if words_per_rep < 1:
+        raise ValueError(f"words_per_rep must be positive, got {words_per_rep}")
     # numpy fills a Fortran-ordered out in memory order, transposing the draws
     if out is not None and not out.flags.c_contiguous:
         raise ValueError("out must be C-contiguous")

@@ -164,24 +164,26 @@ class TestStandardNormalFromUniform:
 
 class TestSpGradient:
     def test_parallel_perturbation(self):
-        grad = sp_gradient(quadratic_problem(), (0.3, 0.3), 0.1, (1.0, 1.0), 0.0, 0.0)
+        grad = sp_gradient(quadratic_problem(), (0.3, 0.3), 0.1, (1.0, 1.0), 0.0)
         assert grad == pytest.approx([0.6, 0.6], abs=1e-12)
 
     def test_antiparallel_perturbation(self):
-        grad = sp_gradient(quadratic_problem(), (0.3, 0.3), 0.1, (1.0, -1.0), 0.0, 0.0)
+        grad = sp_gradient(quadratic_problem(), (0.3, 0.3), 0.1, (1.0, -1.0), 0.0)
         assert grad == pytest.approx([0.0, 0.0], abs=1e-12)
 
     def test_stationary_point_symmetric(self):
-        grad = sp_gradient(quadratic_problem(), (0.0, 0.0), 0.1, (1.0, 1.0), 0.5, 0.5)
+        grad = sp_gradient(quadratic_problem(), (0.0, 0.0), 0.1, (1.0, 1.0), 0.0)
         assert grad[0] == 0.0 and grad[1] == 0.0
 
     def test_domain_errors(self):
         with pytest.raises(ValueError, match="nonzero"):
-            sp_gradient(quadratic_problem(), (0.3, 0.3), 0.1, (1.0, 0.0), 0.0, 0.0)
+            sp_gradient(quadratic_problem(), (0.3, 0.3), 0.1, (1.0, 0.0), 0.0)
+        with pytest.raises(ValueError, match="nonzero"):
+            sp_gradient(quadratic_problem(), ((0.3, 0.3),) * 2, 0.1, ((1.0, 1.0), (-0.0, 1.0)), 0.0)
         with pytest.raises(ValueError, match="positive"):
-            sp_gradient(quadratic_problem(), (0.3, 0.3), 0.0, (1.0, 1.0), 0.0, 0.0)
+            sp_gradient(quadratic_problem(), (0.3, 0.3), 0.0, (1.0, 1.0), 0.0)
         with pytest.raises(ValueError, match="shape"):
-            sp_gradient(quadratic_problem(), ((0.3, 0.3),) * 3, 0.1, (1.0, 1.0), 0.0, 0.0)
+            sp_gradient(quadratic_problem(), ((0.3, 0.3),) * 3, 0.1, (1.0, 1.0), 0.0)
 
     @pytest.mark.parametrize("dist", (BERNOULLI, SEGMENTED_UNIFORM), ids=lambda d: d.name)
     def test_batched_rows_match_single_calls(self, dist):
@@ -191,11 +193,29 @@ class TestSpGradient:
         theta = rng.uniform(-2.0, 2.0, size=(rows, 2))
         delta = dist.sample_array(rng, (rows, 2))
         eps = rng.normal(size=(rows, 2))
-        batched = sp_gradient(problem, theta, 0.3, delta, eps[:, 0], eps[:, 1])
+        noise = eps[:, 0] - eps[:, 1]
+        batched = sp_gradient(problem, theta, 0.3, delta, noise)
         assert batched.shape == (rows, 2)
         for r in range(rows):
-            single = sp_gradient(problem, theta[r], 0.3, delta[r], eps[r, 0], eps[r, 1])
+            single = sp_gradient(problem, theta[r], 0.3, delta[r], noise[r])
             assert np.array_equal(batched[r], single)
+
+    def test_evaluator_returning_a_view_of_its_input(self):
+        # L(theta) = theta_1 read as a view: evaluating the second point must
+        # not overwrite the point the first result still looks at
+        def first_coordinate(evaluator):
+            loss = LossFunction(name="tmp_first", evaluator=evaluator, dimension=2)
+            return ProblemConfig(p=2, loss=loss, theta_star=(0, 0), sigma2=0.0, theta0=(0, 0))
+
+        viewing = first_coordinate(lambda theta: theta[..., 0])
+        copying = first_coordinate(lambda theta: theta[..., 0].copy())
+        rng = np.random.default_rng(5)
+        theta = rng.uniform(-1.0, 1.0, size=(8, 2))
+        delta = SEGMENTED_UNIFORM.sample_array(rng, (8, 2))
+        for rows, deltas, noise in ((theta, delta, np.zeros(8)), (theta[3], delta[3], 0.0)):
+            got = sp_gradient(viewing, rows, 0.1, deltas, noise)
+            assert got.tobytes() == sp_gradient(copying, rows, 0.1, deltas, noise).tobytes()
+            assert got == pytest.approx(deltas[..., :1] / deltas, rel=1e-9)
 
 
 class TestSpsaStep:
@@ -208,14 +228,15 @@ class TestSpsaStep:
         theta0 = rng.uniform(-2.0, 2.0, size=(rows, 2))
         delta = dist.sample_array(rng, (rows, 2))
         eps = rng.normal(size=(rows, 2))
-        assert (eps != 0.0).all()
+        noise = eps[:, 0] - eps[:, 1]
+        assert (noise != 0.0).all()
         theta = theta0.copy()
-        assert spsa_step(problem, schedule, k, theta, delta, eps[:, 0], eps[:, 1]) is True
-        grad = sp_gradient(problem, theta0, schedule.gain_c(k), delta, eps[:, 0], eps[:, 1])
+        assert spsa_step(problem, schedule, k, theta, delta, noise) is True
+        grad = sp_gradient(problem, theta0, schedule.gain_c(k), delta, noise)
         assert theta.tobytes() == (theta0 - schedule.gain_a(k) * grad).tobytes()
         for r in range(rows):
             row = theta0[r].copy()
-            assert spsa_step(problem, schedule, k, row, delta[r], eps[r, 0], eps[r, 1])
+            assert spsa_step(problem, schedule, k, row, delta[r], noise[r])
             assert row.tobytes() == theta[r].tobytes()
 
     def test_false_exactly_when_a_row_leaves_the_finite_range(self):
@@ -231,10 +252,10 @@ class TestSpsaStep:
         starts = np.array([[0.0, 0.0], [0.4, -0.3], [0.6, 0.0], [2.0, 0.0]])
         for rows, finite in (([0, 1], True), ([0, 2], False), ([3], False), ([1, 2, 3], False)):
             theta = starts[rows]
-            zeros = np.zeros(len(rows))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                result = spsa_step(problem, schedule, 0, theta, np.ones_like(theta), zeros, zeros)
+                noise = np.zeros(len(rows))
+                result = spsa_step(problem, schedule, 0, theta, np.ones_like(theta), noise)
             assert result is finite
             assert np.isfinite(theta).all() == finite
             assert np.isfinite(theta[np.array(rows) < 2]).all()
@@ -302,17 +323,18 @@ class TestSpsaRun:
 
     def test_single_stream_reconstruction(self):
         # per iteration: one uniform for each of the p components, then the
-        # two uniforms behind eps_plus and eps_minus, all from the one generator
+        # one uniform behind the N(0, 2 sigma2) noise difference, all from the
+        # one generator
         problem = quadratic_problem(sigma2=1.0)
         schedule = GainSchedule(a=0.01897, c=0.1)
         run = spsa_run(problem, schedule, SEGMENTED_UNIFORM, 5, np.random.default_rng(7))
         rng = np.random.default_rng(7)
         theta = np.array([0.3, 0.3])
         for k in range(5):
-            delta = SEGMENTED_UNIFORM.deltas_from_uniforms(rng.random(2))
-            eps_plus = float(core.standard_normal_from_uniform(rng.random()))
-            eps_minus = float(core.standard_normal_from_uniform(rng.random()))
-            grad = sp_gradient(problem, theta, schedule.gain_c(k), delta, eps_plus, eps_minus)
+            u = rng.random(3)
+            delta = SEGMENTED_UNIFORM.deltas_from_uniforms(u[:2])
+            noise = math.sqrt(2.0) * float(core.standard_normal_from_uniform(u[2]))
+            grad = sp_gradient(problem, theta, schedule.gain_c(k), delta, noise)
             theta = theta - schedule.gain_a(k) * grad
             assert np.array_equal(theta, run.trajectory[k + 1])
 

@@ -318,7 +318,7 @@ class TestRunExperiment:
         spec = small_spec(request.getfixturevalue(spec_name), k_values=(3,), n_reps=5)
         result = run_experiment(spec)
         problem = spec.problem
-        sigma = math.sqrt(problem.sigma2)
+        noise_scale = math.sqrt(2.0 * problem.sigma2)
         for replicate in range(spec.n_reps):
             theta = {
                 "bernoulli": np.asarray(problem.theta0),
@@ -335,12 +335,12 @@ class TestRunExperiment:
                     spec.master_seed,
                     streams.NOISE_STREAM,
                     n_reps=spec.n_reps,
-                    words_per_rep=2,
+                    words_per_rep=1,
                     iteration=k,
                     start=replicate,
                     stop=replicate + 1,
-                )[0]
-                eps = sigma * standard_normal_from_uniform(u_noise)
+                )[0, 0]
+                noise = noise_scale * standard_normal_from_uniform(u_noise)
                 for name, dist in dists.items():
                     u_pert = streams.uniform_block(
                         spec.master_seed,
@@ -353,9 +353,7 @@ class TestRunExperiment:
                     )[0]
                     delta = dist.deltas_from_uniforms(u_pert)
                     schedule = schedules[name]
-                    grad = sp_gradient(
-                        problem, theta[name], schedule.gain_c(k), delta, eps[0], eps[1]
-                    )
+                    grad = sp_gradient(problem, theta[name], schedule.gain_c(k), delta, noise)
                     theta[name] = theta[name] - schedule.gain_a(k) * grad
             for name in dists:
                 err = theta[name] - np.asarray(problem.theta_star)

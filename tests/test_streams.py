@@ -102,10 +102,21 @@ def test_invalid_replicate_range_raises(start, stop):
         block(0, 0, iteration=0, start=start, stop=stop)
 
 
+@pytest.mark.parametrize(
+    "words_per_rep, iteration, message",
+    [(WORDS, -1, "iteration"), (0, 0, "words_per_rep"), (-1, 0, "words_per_rep")],
+)
+def test_invalid_address_raises(words_per_rep, iteration, message):
+    with pytest.raises(ValueError, match=message):
+        streams.uniform_block(
+            1, 0, n_reps=N_REPS, words_per_rep=words_per_rep, iteration=iteration, start=0, stop=2
+        )
+
+
 def test_a_failed_draw_leaves_later_draws_addressed():
     block(7, 0, iteration=1, start=0, stop=4)
     with pytest.raises(ValueError):
-        # a negative word count fails after the generator has been seeked
+        # a negative word count fails before the seek
         streams.uniform_block(7, 0, n_reps=N_REPS, words_per_rep=-1, iteration=0, start=0, stop=2)
     got = block(7, 0, iteration=1, start=4, stop=9)
     assert got.tobytes() == oracle(7, 0, iteration=1, start=4, stop=9).tobytes()
