@@ -12,9 +12,11 @@ has the larger MSE, matching the convention that small p-values favor the
 segmented uniform.
 
 All randomness comes from the absolutely addressed streams in
-:mod:`spsa_dist.streams`, so results are bit-identical for a given
-(spec, master_seed) no matter how replicates are split into blocks or how
-many threads run them, and identical reruns produce byte-identical CSV files.
+:mod:`spsa_dist.streams`, and the squared errors reduce to moments over fixed
+replicate segments that merge in a fixed order, so results are bit-identical
+for a given (spec, master_seed) no matter how replicates are split into
+blocks or how many threads run them, and identical reruns produce
+byte-identical CSV files.
 """
 
 from __future__ import annotations
@@ -52,6 +54,8 @@ __all__ = [
 ]
 
 CHUNK_SIZE = 1 << 18
+# Replicates per moment segment: segment j holds rows [j * S, (j + 1) * S).
+_SEGMENT_ROWS = 1 << 12
 # Float64 words per row tile of a block step: each (rows, p) temporary of a
 # tile takes 512 KiB and stays in cache.
 _TILE_WORDS = 1 << 16
@@ -118,6 +122,7 @@ class PairedComparison:
     t_stat: float
     p_value: float
     n_pairs: int
+    std_error: float  # of mean_diff, from the n-1 sample standard deviation
 
 
 @dataclass(frozen=True)
@@ -140,9 +145,27 @@ class TheoryComparison:
 @dataclass(frozen=True)
 class ExperimentResult:
     spec: ExperimentSpec
-    squared_errors: dict[tuple[str, int], np.ndarray]
+    # per-replicate squared errors by (law, k); None unless kept on request
+    squared_errors: dict[tuple[str, int], np.ndarray] | None
     estimates: tuple[MseEstimate, ...]
     comparisons: tuple[PairedComparison, ...]
+
+
+def _t_test(n: int, mean: float, sd: float) -> TTestResult:
+    """:func:`paired_t_test` from the count, mean and n-1 sample standard
+    deviation of the differences, with the same degenerate and overflow rules.
+    """
+    if not (math.isfinite(mean) and math.isfinite(sd)):
+        raise ValueError(f"paired_t_test: mean {mean}, standard deviation {sd}: float64 overflow")
+    if sd == 0.0:
+        if mean > 0.0:
+            return TTestResult(t_stat=math.inf, p_value=0.0, degenerate=True)
+        if mean < 0.0:
+            return TTestResult(t_stat=-math.inf, p_value=1.0, degenerate=True)
+        return TTestResult(t_stat=0.0, p_value=0.5, degenerate=True)
+    t_stat = mean / (sd / math.sqrt(n))
+    p_value = float(stdtr(n - 1, -t_stat))
+    return TTestResult(t_stat=t_stat, p_value=p_value)
 
 
 def paired_t_test(diffs) -> TTestResult:
@@ -160,35 +183,67 @@ def paired_t_test(diffs) -> TTestResult:
     bad = np.flatnonzero(~np.isfinite(d))
     if bad.size:
         raise ValueError(f"paired_t_test needs finite differences; got {d[bad[0]]} at index {bad[0]}")
-    n = d.size
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(d.mean())
         sd = float(d.std(ddof=1))
-    if not (math.isfinite(mean) and math.isfinite(sd)):
-        raise ValueError(f"paired_t_test: mean {mean}, standard deviation {sd}: float64 overflow")
-    if sd == 0.0:
-        if mean > 0.0:
-            return TTestResult(t_stat=math.inf, p_value=0.0, degenerate=True)
-        if mean < 0.0:
-            return TTestResult(t_stat=-math.inf, p_value=1.0, degenerate=True)
-        return TTestResult(t_stat=0.0, p_value=0.5, degenerate=True)
-    t_stat = mean / (sd / math.sqrt(n))
-    p_value = float(stdtr(n - 1, -t_stat))
-    return TTestResult(t_stat=t_stat, p_value=p_value)
+    return _t_test(d.size, mean, sd)
 
 
-def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
+def _moments(values: np.ndarray) -> np.ndarray:
+    """Two-pass (mean, M2) over the last axis of ``values``, stacked last.
+
+    Each segment's moments come from this function alone, given the
+    segment's values contiguous and in replicate order, so their bits do not
+    depend on which blocks held the rows.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = values.sum(axis=-1) / values.shape[-1]
+        dev = values - mean[..., None]
+        dev *= dev
+        return np.stack((mean, dev.sum(axis=-1)), axis=-1)
+
+
+def _merge_segments(table: np.ndarray, n: int, segment: int) -> tuple[np.ndarray, np.ndarray]:
+    """Merge the (mean, M2) rows of ``segment``-replicate segments left to
+    right into the moments of all ``n`` replicates, with the pairwise update
+    of Chan, Golub & LeVeque (1979).
+    """
+    mean = table[0, ..., 0].copy()
+    m2 = table[0, ..., 1].copy()
+    count = min(segment, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, len(table)):
+            add = min(segment, n - j * segment)
+            total = count + add
+            delta = table[j, ..., 0] - mean
+            mean += delta * (add / total)
+            m2 += table[j, ..., 1] + delta * delta * (count * add / total)
+            count = total
+    return mean, m2
+
+
+def run_experiment(spec: ExperimentSpec, *, keep_squared_errors: bool = False) -> ExperimentResult:
     """Estimate the MSE of both laws at every requested k, with pairing.
 
     The replicates are split into ``min(n_reps, max(WORKERS, ceil(n_reps /
     CHUNK_SIZE)))`` blocks whose sizes differ by at most one, run on a pool
-    of :data:`WORKERS` threads. Every draw has an absolute stream address and
-    each block writes only its own rows, so neither the block sizes nor the
-    worker count has any effect on the output. A non-finite iterate aborts
-    the whole experiment with a :class:`DivergedRunError` naming the smallest
-    diverging replicate, its first iteration and law: silent dropping would
-    bias the estimates. Any other exception raised in a block stops the other
-    blocks and reaches the caller unchanged.
+    of :data:`WORKERS` threads. Every draw has an absolute stream address, so
+    neither the block sizes nor the worker count changes any squared error.
+
+    The squared errors are not kept. At each requested k they are reduced to
+    the count, mean and M2 of each segment of ``_SEGMENT_ROWS`` replicates,
+    for each law and for the paired difference; a segment that two or more
+    blocks share is joined from their pieces first. The segments merge left
+    to right, so every result is the same bits under any split. Memory is
+    O(workers x block x p + n_reps / _SEGMENT_ROWS x len(k_values)).
+    ``keep_squared_errors=True`` also keeps every replicate's squared errors
+    in ``ExperimentResult.squared_errors``, which is None otherwise.
+
+    A non-finite iterate aborts the whole experiment with a
+    :class:`DivergedRunError` naming the smallest diverging replicate, its
+    first iteration and law: silent dropping would bias the estimates. Any
+    other exception raised in a block stops the other blocks and reaches the
+    caller unchanged.
     """
     # Fixed processing order; also the row order of the output tables.
     laws = (
@@ -202,11 +257,15 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     theta_star = np.asarray(problem.theta_star)
     theta0 = np.asarray(problem.theta0)
     k_max = spec.k_values[-1]
-    wanted_k = set(spec.k_values)
+    wanted = {k: index for index, k in enumerate(spec.k_values)}
+    n_k = len(wanted)
 
-    squared_errors = {
-        (dist.name, k): np.empty(n) for dist, _, _ in laws for k in spec.k_values
-    }
+    segment = _SEGMENT_ROWS
+    # (segment, k, series, (mean, M2)); the series are the Bernoulli and
+    # segmented-uniform squared errors and their difference. Allocated before
+    # any block starts, so a size the machine refuses fails at once.
+    table = np.empty((-(-n // segment), n_k, 3, 2))
+    kept = np.empty((n_k, 2, n)) if keep_squared_errors else None
 
     n_blocks = min(n, max(WORKERS, -(-n // CHUNK_SIZE)))
     tile_rows = max(1, _TILE_WORDS // p)
@@ -220,16 +279,32 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         with lock:
             first_failed = min(first_failed, index)
 
-    def run_block(index: int) -> DivergedRunError | None:
+    def run_block(index: int):
         try:
             return step_block(index)
         except BaseException:
             fail(-1)
             raise
 
-    def step_block(index: int) -> DivergedRunError | None:
+    def step_block(index: int):
+        """Step one block; return its divergence record (or None) and the
+        pieces of the segments it shares with other blocks, or None for the
+        pieces when it stopped early or diverged.
+        """
         start = index * n // n_blocks
-        rows = (index + 1) * n // n_blocks - start
+        stop = (index + 1) * n // n_blocks
+        rows = stop - start
+        # rows [head, tail) are whole full-size segments; the rows before and
+        # after go back to the caller as pieces of the segments they belong to
+        head = min(-(-start // segment) * segment, stop)
+        tail = max(stop // segment * segment, head)
+        pieces = [
+            (lo // segment, lo - start, np.empty((n_k, 2, hi - lo)))
+            for lo, hi in ((start, head), (tail, stop))
+            if lo < hi
+        ]
+        # the Bernoulli and segmented-uniform squared errors at one k
+        harvest = np.empty((2, rows))
         theta = {dist.name: np.tile(theta0, (rows, 1)) for dist, _, _ in laws}
         # One draw buffer per stream, refilled at every iteration. The steps
         # then run over row tiles, whose temporaries stay in cache where
@@ -241,7 +316,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         diverged = None
         for k in range(k_max):
             if first_failed < index:
-                return diverged
+                return diverged, None
             for stream_tag, buffer in draws.items():
                 streams.uniform_block(
                     spec.master_seed,
@@ -268,19 +343,32 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                         diverged = DivergedRunError(start + r, dist.name, k)
                         fail(index)
                         if r == 0:
-                            return diverged
+                            return diverged, None
                         # only rows before r can still be the first to
                         # diverge, so the later laws and tiles skip the rest
                         rows = b = r
                         noise = noise[: r - a]
-                if (k + 1) in wanted_k:
-                    for name, values in theta.items():
+                if (k + 1) in wanted and diverged is None:
+                    for law, values in enumerate(theta.values()):
                         err = values[a:b] - theta_star
-                        with np.errstate(over="ignore"):  # checked after the last block
+                        with np.errstate(over="ignore"):  # checked after the merge
                             err *= err
-                            squared_errors[(name, k + 1)][start + a : start + b] = err.sum(axis=1)
+                            err.sum(axis=1, out=harvest[law, a:b])
                 a = b
-        return diverged
+            if (k + 1) in wanted and diverged is None:
+                col = wanted[k + 1]
+                if kept is not None:
+                    kept[col, :, start:stop] = harvest
+                for _, offset, piece in pieces:
+                    piece[col] = harvest[:, offset : offset + piece.shape[-1]]
+                whole = harvest[:, head - start : tail - start].reshape(2, -1, segment)
+                segments = table[head // segment : tail // segment, col]
+                segments[:, :2] = _moments(whole).swapaxes(0, 1)
+                # the paired difference, in place of the Bernoulli errors
+                with np.errstate(invalid="ignore"):  # inf - inf
+                    np.subtract(whole[0], whole[1], out=whole[0])
+                segments[:, 2] = _moments(whole[0])
+        return diverged, (pieces if diverged is None else None)
 
     # glibc hands a freed heap top over its trim threshold back to the kernel,
     # so each block iteration would fault its temporaries in again (1.6e4 in
@@ -288,10 +376,24 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     # bundled quadratic). Freeing one mapped 4 MiB array moves glibc's
     # thresholds to 4 MiB (mmap) and 8 MiB (trim).
     np.empty(1 << 19)
+    records = []
+    # segment -> its pieces so far, joined in replicate order once complete
+    shared: dict[int, list[np.ndarray]] = {}
     with ThreadPoolExecutor(max_workers=min(WORKERS, n_blocks)) as pool:
         futures = [pool.submit(run_block, index) for index in range(n_blocks)]
         try:
-            records = [future.result() for future in futures]
+            for index in range(n_blocks):
+                diverged, pieces = futures[index].result()
+                futures[index] = None  # its pieces go once joined
+                records.append(diverged)
+                for j, _, piece in pieces or ():
+                    parts = shared.setdefault(j, [])
+                    parts.append(piece)
+                    if sum(part.shape[-1] for part in parts) == min(segment, n - j * segment):
+                        errors = np.concatenate(shared.pop(j), axis=-1)
+                        with np.errstate(invalid="ignore"):  # inf - inf
+                            diff = errors[:, :1] - errors[:, 1:]
+                        table[j] = _moments(np.concatenate((errors, diff), axis=1))
         except BaseException:
             fail(-1)
             raise
@@ -300,14 +402,14 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     if first_failed < n_blocks:
         raise records[first_failed]
 
+    mean, m2 = _merge_segments(table, n, segment)
+    sd = np.sqrt(m2 / (n - 1))
     estimates = []
     comparisons = []
-    for k in spec.k_values:
-        for dist, _, _ in laws:
-            se = squared_errors[(dist.name, k)]
-            with np.errstate(over="ignore", invalid="ignore"):
-                mse = float(se.mean())
-                std_error = float(se.std(ddof=1) / math.sqrt(n))
+    for col, k in enumerate(spec.k_values):
+        for series, (dist, _, _) in enumerate(laws):
+            mse = float(mean[col, series])
+            std_error = float(sd[col, series] / math.sqrt(n))
             if not (math.isfinite(mse) and math.isfinite(std_error)):
                 raise ValueError(
                     f"{dist.name} at k={k}: the squared errors overflow float64 "
@@ -316,17 +418,26 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             estimates.append(
                 MseEstimate(distribution=dist.name, k=k, mse=mse, std_error=std_error, n_reps=n)
             )
-        d = squared_errors[("bernoulli", k)] - squared_errors[("segmented_uniform", k)]
-        t_res = paired_t_test(d)
+        mean_diff = float(mean[col, 2])
+        paired_sd = float(sd[col, 2])
+        t_res = _t_test(n, mean_diff, paired_sd)
         comparisons.append(
             PairedComparison(
                 k=k,
-                mean_diff=float(d.mean()),
+                mean_diff=mean_diff,
                 t_stat=t_res.t_stat,
                 p_value=t_res.p_value,
                 n_pairs=n,
+                std_error=paired_sd / math.sqrt(n),
             )
         )
+    squared_errors = None
+    if kept is not None:
+        squared_errors = {
+            (dist.name, k): kept[col, law]
+            for col, k in enumerate(spec.k_values)
+            for law, (dist, _, _) in enumerate(laws)
+        }
     return ExperimentResult(
         spec=spec,
         squared_errors=squared_errors,
@@ -347,22 +458,17 @@ def compare_with_theory(spec: ExperimentSpec) -> TheoryComparison:
         raise ValueError("compare_with_theory requires a quadratic loss")
     if spec.k_values != (1,):
         raise ValueError("compare_with_theory requires k_values == (1,)")
-    result = run_experiment(spec)
-    d = (
-        result.squared_errors[("segmented_uniform", 1)]
-        - result.squared_errors[("bernoulli", 1)]
-    )
-    mc_diff = float(d.mean())
-    paired_se = float(d.std(ddof=1) / math.sqrt(d.size))
+    (paired,) = run_experiment(spec).comparisons
+    mc_diff = -paired.mean_diff
     inp, _ = theory.condition_input_from_problem(
         spec.problem, spec.schedule_su, spec.schedule_bern
     )
     theory_diff = theory.condition_lhs_explicit(inp)
-    consistent = abs(mc_diff - theory_diff) <= 4.0 * paired_se
+    consistent = abs(mc_diff - theory_diff) <= 4.0 * paired.std_error
     return TheoryComparison(
         mc_diff=mc_diff,
         theory_diff=theory_diff,
-        paired_std_error=paired_se,
+        paired_std_error=paired.std_error,
         consistent=consistent,
     )
 

@@ -192,6 +192,16 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         assert faults < bound, (config, faults)
 
 
+def traced_peak(function, *args):
+    """The tracemalloc peak in bytes while ``function(*args)`` runs, and its result."""
+    tracemalloc.start()
+    try:
+        result = function(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
 class TestPairedTTest:
     def test_constant_positive_diffs(self):
         res = paired_t_test((1.0, 1.0, 1.0, 1.0))
@@ -282,8 +292,8 @@ class TestRunExperiment:
     @pytest.mark.parametrize("spec_name", ("quadratic_spec", "quartic_spec"))
     def test_reproducible_and_chunk_invariant(self, request, spec_name, monkeypatch):
         spec = small_spec(request.getfixturevalue(spec_name), k_values=(1, 4), n_reps=3000)
-        baseline = run_experiment(spec)
-        rerun = run_experiment(spec)
+        baseline = run_experiment(spec, keep_squared_errors=True)
+        rerun = run_experiment(spec, keep_squared_errors=True)
         for key, values in baseline.squared_errors.items():
             assert np.array_equal(values, rerun.squared_errors[key])
         # every worker count and block size at the default and 7-row tiles;
@@ -298,7 +308,7 @@ class TestRunExperiment:
             monkeypatch.setattr(experiments, "_TILE_WORDS", tile_words)
             monkeypatch.setattr(experiments, "WORKERS", workers)
             monkeypatch.setattr(experiments, "CHUNK_SIZE", chunk_size)
-            blocked = run_experiment(spec)
+            blocked = run_experiment(spec, keep_squared_errors=True)
             for key, values in baseline.squared_errors.items():
                 assert np.array_equal(values, blocked.squared_errors[key])
             assert render_csv(baseline) == render_csv(blocked)
@@ -306,8 +316,8 @@ class TestRunExperiment:
     def test_k_subset_harvests_same_errors(self, quadratic_spec):
         spec_all = small_spec(quadratic_spec, k_values=(1, 3), n_reps=500)
         spec_k1 = small_spec(quadratic_spec, k_values=(1,), n_reps=500)
-        all_result = run_experiment(spec_all)
-        k1_result = run_experiment(spec_k1)
+        all_result = run_experiment(spec_all, keep_squared_errors=True)
+        k1_result = run_experiment(spec_k1, keep_squared_errors=True)
         for name in ("bernoulli", "segmented_uniform"):
             assert np.array_equal(
                 all_result.squared_errors[(name, 1)], k1_result.squared_errors[(name, 1)]
@@ -316,7 +326,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize("spec_name", ("quadratic_spec", "quartic_spec"))
     def test_replicates_match_scalar_reconstruction(self, request, spec_name):
         spec = small_spec(request.getfixturevalue(spec_name), k_values=(3,), n_reps=5)
-        result = run_experiment(spec)
+        result = run_experiment(spec, keep_squared_errors=True)
         problem = spec.problem
         noise_scale = math.sqrt(2.0 * problem.sigma2)
         for replicate in range(spec.n_reps):
@@ -363,7 +373,7 @@ class TestRunExperiment:
         # the covariance of the two laws' squared errors is about 6.3e-6 with a
         # sampling SE of 1.2e-6 at 10^6 replicates; at 2*10^4 the SE is 8.6e-6
         spec = small_spec(quadratic_spec, n_reps=1_000_000)
-        result = run_experiment(spec)
+        result = run_experiment(spec, keep_squared_errors=True)
         se_b = result.squared_errors[("bernoulli", 1)]
         se_s = result.squared_errors[("segmented_uniform", 1)]
         paired_var = np.var(se_b - se_s, ddof=1)
@@ -529,19 +539,70 @@ class TestRunExperiment:
 
     def test_block_working_set_per_row(self, quadratic_spec, monkeypatch):
         # two blocks run at once, so a block may hold at most 18 float64 per
-        # row beside the kept squared errors for peak RSS to stay put (the
-        # single-threaded harness held 27)
+        # row for peak RSS to stay put (the single-threaded harness held 27);
+        # no squared error is kept
         monkeypatch.setattr(experiments, "WORKERS", 1)
         n = 1 << 16
         spec = small_spec(quadratic_spec, k_values=(1, 3), n_reps=n)
-        tracemalloc.start()
-        try:
-            result = run_experiment(spec)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        kept = sum(values.nbytes for values in result.squared_errors.values())
-        assert (peak - kept) / (8 * n) <= 18
+        peak, result = traced_peak(run_experiment, spec)
+        assert result.squared_errors is None
+        assert peak / (8 * n) <= 18
+
+    def test_memory_does_not_grow_with_the_number_of_k(self, quadratic_spec, monkeypatch):
+        # the squared errors at each k reduce to moments per segment of
+        # 4096 rows, in buffers that every k reuses; one worker, as two
+        # blocks overlap for a time that depends on k_max
+        monkeypatch.setattr(experiments, "WORKERS", 1)
+        n = 1 << 16
+        one_k, _ = traced_peak(run_experiment, small_spec(quadratic_spec, n_reps=n))
+        twenty_k, _ = traced_peak(
+            run_experiment, small_spec(quadratic_spec, k_values=tuple(range(1, 21)), n_reps=n)
+        )
+        assert twenty_k - one_k <= 8 * n
+
+    @pytest.mark.parametrize("spec_name", ("quadratic_spec", "quartic_spec"))
+    def test_split_invariant_with_small_segments(self, request, spec_name, monkeypatch):
+        # 64-row segments: 750-row blocks hold whole segments and hand back
+        # edge pieces, and 20-row blocks build each segment from four or five
+        # pieces; 3000 rows leave a last segment of 56
+        monkeypatch.setattr(experiments, "_SEGMENT_ROWS", 64)
+        spec = small_spec(request.getfixturevalue(spec_name), k_values=(1, 4), n_reps=3000)
+        baseline = run_experiment(spec)
+        text = render_csv(baseline)
+        for tile_words, workers, chunk_size in (
+            (TILE_WORDS[0], 1, CHUNK_SIZE),
+            (TILE_WORDS[0], 2, CHUNK_SIZE),
+            (TILE_WORDS[0], 3, 997),
+            (TILE_WORDS[1], 2, 20),
+            (TILE_WORDS[0], 3, 7),
+        ):
+            monkeypatch.setattr(experiments, "_TILE_WORDS", tile_words)
+            monkeypatch.setattr(experiments, "WORKERS", workers)
+            monkeypatch.setattr(experiments, "CHUNK_SIZE", chunk_size)
+            blocked = run_experiment(spec)
+            assert blocked.estimates == baseline.estimates
+            assert blocked.comparisons == baseline.comparisons
+            assert render_csv(blocked) == text
+
+    def test_merged_moments_match_two_pass(self, quadratic_spec, monkeypatch):
+        monkeypatch.setattr(experiments, "CHUNK_SIZE", 997)
+        spec = small_spec(quadratic_spec, k_values=(1, 3), n_reps=20_001)
+        result = run_experiment(spec, keep_squared_errors=True)
+        root_n = math.sqrt(spec.n_reps)
+        for est in result.estimates:
+            errors = result.squared_errors[(est.distribution, est.k)]
+            assert est.mse == pytest.approx(errors.mean(), rel=1e-12)
+            assert est.std_error == pytest.approx(errors.std(ddof=1) / root_n, rel=1e-12)
+        for cmp in result.comparisons:
+            d = (
+                result.squared_errors[("bernoulli", cmp.k)]
+                - result.squared_errors[("segmented_uniform", cmp.k)]
+            )
+            assert cmp.mean_diff == pytest.approx(d.mean(), rel=1e-12)
+            assert cmp.std_error == pytest.approx(d.std(ddof=1) / root_n, rel=1e-12)
+            ref = paired_t_test(d)
+            assert cmp.t_stat == pytest.approx(ref.t_stat, rel=1e-12)
+            assert cmp.p_value == pytest.approx(ref.p_value, rel=1e-9)
 
     def test_reversal_at_long_horizon(self, table2_k1000_result):
         estimates = {e.distribution: e for e in table2_k1000_result.estimates}
