@@ -13,10 +13,10 @@ segmented uniform.
 
 All randomness comes from the absolutely addressed streams in
 :mod:`spsa_dist.streams`, and the squared errors reduce to moments over fixed
-replicate segments that merge in a fixed order, so results are bit-identical
-for a given (spec, master_seed) no matter how replicates are split into
-blocks or how many threads run them, and identical reruns produce
-byte-identical CSV files.
+replicate segments, each taken within one block and combined in one fixed
+sum, so results are bit-identical for a given (spec, master_seed) no matter
+how many segments a block holds or how many threads run them, and identical
+reruns produce byte-identical CSV files.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ __all__ = [
 
 CHUNK_SIZE = 1 << 18
 # Replicates per moment segment: segment j holds rows [j * S, (j + 1) * S).
-_SEGMENT_ROWS = 1 << 12
+_SEGMENT_ROWS = 1 << 8
 # Float64 words per row tile of a block step: each (rows, p) temporary of a
 # tile takes 512 KiB and stays in cache.
 _TILE_WORDS = 1 << 16
@@ -189,53 +189,44 @@ def paired_t_test(diffs) -> TTestResult:
     return _t_test(d.size, mean, sd)
 
 
-def _moments(values: np.ndarray) -> np.ndarray:
-    """Two-pass (mean, M2) over the last axis of ``values``, stacked last.
+def _moments(values: np.ndarray, segment: int) -> np.ndarray:
+    """Two-pass (mean, M2) of each run of ``segment`` values along the last
+    axis of ``values`` (the last run may be shorter), stacked last: shape
+    ``values.shape[:-1] + (runs, 2)``.
 
-    Each segment's moments come from this function alone, given the
-    segment's values contiguous and in replicate order, so their bits do not
-    depend on which blocks held the rows.
+    A segment's moments come from its own values in replicate order, so
+    their bits do not depend on which other segments share the call.
     """
+    rows = values.shape[-1]
+    full = rows - rows % segment
+    runs = (values[..., :full].reshape(*values.shape[:-1], -1, segment), values[..., None, full:])
+    moments = []
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = values.sum(axis=-1) / values.shape[-1]
-        dev = values - mean[..., None]
-        dev *= dev
-        return np.stack((mean, dev.sum(axis=-1)), axis=-1)
-
-
-def _merge_segments(table: np.ndarray, n: int, segment: int) -> tuple[np.ndarray, np.ndarray]:
-    """Merge the (mean, M2) rows of ``segment``-replicate segments left to
-    right into the moments of all ``n`` replicates, with the pairwise update
-    of Chan, Golub & LeVeque (1979).
-    """
-    mean = table[0, ..., 0].copy()
-    m2 = table[0, ..., 1].copy()
-    count = min(segment, n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(1, len(table)):
-            add = min(segment, n - j * segment)
-            total = count + add
-            delta = table[j, ..., 0] - mean
-            mean += delta * (add / total)
-            m2 += table[j, ..., 1] + delta * delta * (count * add / total)
-            count = total
-    return mean, m2
+        for run in runs:
+            if run.size:
+                mean = run.sum(axis=-1) / run.shape[-1]
+                dev = run - mean[..., None]
+                dev *= dev
+                moments.append(np.stack((mean, dev.sum(axis=-1)), axis=-1))
+    return np.concatenate(moments, axis=-2)
 
 
 def run_experiment(spec: ExperimentSpec, *, keep_squared_errors: bool = False) -> ExperimentResult:
     """Estimate the MSE of both laws at every requested k, with pairing.
 
-    The replicates are split into ``min(n_reps, max(WORKERS, ceil(n_reps /
-    CHUNK_SIZE)))`` blocks whose sizes differ by at most one, run on a pool
-    of :data:`WORKERS` threads. Every draw has an absolute stream address, so
-    neither the block sizes nor the worker count changes any squared error.
+    The replicates fall into segments of ``_SEGMENT_ROWS``, segment j holding
+    replicates ``[j * S, (j + 1) * S)`` (the last may be shorter). The
+    segments are split into ``min(n_segments, max(WORKERS, ceil(n_reps /
+    CHUNK_SIZE)))`` blocks of whole segments, whose sizes differ by at most
+    one segment, run on a pool of :data:`WORKERS` threads. Every draw has an
+    absolute stream address, so neither the block sizes nor the worker count
+    changes any squared error.
 
-    The squared errors are not kept. At each requested k they are reduced to
-    the count, mean and M2 of each segment of ``_SEGMENT_ROWS`` replicates,
-    for each law and for the paired difference; a segment that two or more
-    blocks share is joined from their pieces first. The segments merge left
-    to right, so every result is the same bits under any split. Memory is
-    O(workers x block x p + n_reps / _SEGMENT_ROWS x len(k_values)).
+    The squared errors are not kept. At each requested k a block reduces
+    them to the mean and M2 of each of its segments, for each law and for
+    the paired difference. The segments then combine in one fixed sum, so
+    every result is the same bits under any split. Memory is O(workers x
+    block x p + n_reps / _SEGMENT_ROWS x len(k_values)).
     ``keep_squared_errors=True`` also keeps every replicate's squared errors
     in ``ExperimentResult.squared_errors``, which is None otherwise.
 
@@ -261,13 +252,18 @@ def run_experiment(spec: ExperimentSpec, *, keep_squared_errors: bool = False) -
     n_k = len(wanted)
 
     segment = _SEGMENT_ROWS
+    n_segments = -(-n // segment)
     # (segment, k, series, (mean, M2)); the series are the Bernoulli and
     # segmented-uniform squared errors and their difference. Allocated before
     # any block starts, so a size the machine refuses fails at once.
-    table = np.empty((-(-n // segment), n_k, 3, 2))
+    table = np.empty((n_segments, n_k, 3, 2))
     kept = np.empty((n_k, 2, n)) if keep_squared_errors else None
 
-    n_blocks = min(n, max(WORKERS, -(-n // CHUNK_SIZE)))
+    n_blocks = min(n_segments, max(WORKERS, -(-n // CHUNK_SIZE)))
+    edges = [min(n, index * n_segments // n_blocks * segment) for index in range(n_blocks + 1)]
+    # Every block sizes its buffers for the largest block, so a block can
+    # reuse the heap chunks that an earlier one freed.
+    block_rows = max(stop - start for start, stop in zip(edges, edges[1:]))
     tile_rows = max(1, _TILE_WORDS // p)
     # Index of the lowest block that has diverged, or -1 once a block raised;
     # a block stops at its next iteration when this falls below its own index.
@@ -287,36 +283,25 @@ def run_experiment(spec: ExperimentSpec, *, keep_squared_errors: bool = False) -
             raise
 
     def step_block(index: int):
-        """Step one block; return its divergence record (or None) and the
-        pieces of the segments it shares with other blocks, or None for the
-        pieces when it stopped early or diverged.
+        """Step one block, writing its segments' moments into ``table``;
+        return its divergence record, or None.
         """
-        start = index * n // n_blocks
-        stop = (index + 1) * n // n_blocks
+        start, stop = edges[index], edges[index + 1]
         rows = stop - start
-        # rows [head, tail) are whole full-size segments; the rows before and
-        # after go back to the caller as pieces of the segments they belong to
-        head = min(-(-start // segment) * segment, stop)
-        tail = max(stop // segment * segment, head)
-        pieces = [
-            (lo // segment, lo - start, np.empty((n_k, 2, hi - lo)))
-            for lo, hi in ((start, head), (tail, stop))
-            if lo < hi
-        ]
         # the Bernoulli and segmented-uniform squared errors at one k
-        harvest = np.empty((2, rows))
-        theta = {dist.name: np.tile(theta0, (rows, 1)) for dist, _, _ in laws}
+        harvest = np.empty((2, block_rows))
+        theta = {dist.name: np.tile(theta0, (block_rows, 1)) for dist, _, _ in laws}
         # One draw buffer per stream, refilled at every iteration. The steps
         # then run over row tiles, whose temporaries stay in cache where
         # block-sized ones would go through memory (and, freed, be faulted
         # back in at the next iteration).
-        draws = {streams.NOISE_STREAM: np.empty((rows, 1))}
+        draws = {streams.NOISE_STREAM: np.empty((block_rows, 1))}
         for _, stream_tag, _ in laws:
-            draws[stream_tag] = np.empty((rows, p))
+            draws[stream_tag] = np.empty((block_rows, p))
         diverged = None
         for k in range(k_max):
             if first_failed < index:
-                return diverged, None
+                return diverged
             for stream_tag, buffer in draws.items():
                 streams.uniform_block(
                     spec.master_seed,
@@ -343,7 +328,7 @@ def run_experiment(spec: ExperimentSpec, *, keep_squared_errors: bool = False) -
                         diverged = DivergedRunError(start + r, dist.name, k)
                         fail(index)
                         if r == 0:
-                            return diverged, None
+                            return diverged
                         # only rows before r can still be the first to
                         # diverge, so the later laws and tiles skip the rest
                         rows = b = r
@@ -357,18 +342,16 @@ def run_experiment(spec: ExperimentSpec, *, keep_squared_errors: bool = False) -
                 a = b
             if (k + 1) in wanted and diverged is None:
                 col = wanted[k + 1]
+                errors = harvest[:, :rows]
                 if kept is not None:
-                    kept[col, :, start:stop] = harvest
-                for _, offset, piece in pieces:
-                    piece[col] = harvest[:, offset : offset + piece.shape[-1]]
-                whole = harvest[:, head - start : tail - start].reshape(2, -1, segment)
-                segments = table[head // segment : tail // segment, col]
-                segments[:, :2] = _moments(whole).swapaxes(0, 1)
+                    kept[col, :, start:stop] = errors
+                segments = table[start // segment : -(-stop // segment), col]
+                segments[:, :2] = _moments(errors, segment).swapaxes(0, 1)
                 # the paired difference, in place of the Bernoulli errors
                 with np.errstate(invalid="ignore"):  # inf - inf
-                    np.subtract(whole[0], whole[1], out=whole[0])
-                segments[:, 2] = _moments(whole[0])
-        return diverged, (pieces if diverged is None else None)
+                    np.subtract(errors[0], errors[1], out=errors[0])
+                segments[:, 2] = _moments(errors[0], segment)
+        return diverged
 
     # glibc hands a freed heap top over its trim threshold back to the kernel,
     # so each block iteration would fault its temporaries in again (1.6e4 in
@@ -376,24 +359,10 @@ def run_experiment(spec: ExperimentSpec, *, keep_squared_errors: bool = False) -
     # bundled quadratic). Freeing one mapped 4 MiB array moves glibc's
     # thresholds to 4 MiB (mmap) and 8 MiB (trim).
     np.empty(1 << 19)
-    records = []
-    # segment -> its pieces so far, joined in replicate order once complete
-    shared: dict[int, list[np.ndarray]] = {}
     with ThreadPoolExecutor(max_workers=min(WORKERS, n_blocks)) as pool:
         futures = [pool.submit(run_block, index) for index in range(n_blocks)]
         try:
-            for index in range(n_blocks):
-                diverged, pieces = futures[index].result()
-                futures[index] = None  # its pieces go once joined
-                records.append(diverged)
-                for j, _, piece in pieces or ():
-                    parts = shared.setdefault(j, [])
-                    parts.append(piece)
-                    if sum(part.shape[-1] for part in parts) == min(segment, n - j * segment):
-                        errors = np.concatenate(shared.pop(j), axis=-1)
-                        with np.errstate(invalid="ignore"):  # inf - inf
-                            diff = errors[:, :1] - errors[:, 1:]
-                        table[j] = _moments(np.concatenate((errors, diff), axis=1))
+            records = [future.result() for future in futures]
         except BaseException:
             fail(-1)
             raise
@@ -402,7 +371,12 @@ def run_experiment(spec: ExperimentSpec, *, keep_squared_errors: bool = False) -
     if first_failed < n_blocks:
         raise records[first_failed]
 
-    mean, m2 = _merge_segments(table, n, segment)
+    # Chan, Golub & LeVeque (1979): the moments of all n replicates from
+    # those of the segments, with n_j replicates in segment j
+    counts = np.minimum(segment, n - segment * np.arange(n_segments))[:, None, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = (counts * table[..., 0]).sum(axis=0) / n
+        m2 = table[..., 1].sum(axis=0) + (counts * (table[..., 0] - mean) ** 2).sum(axis=0)
     sd = np.sqrt(m2 / (n - 1))
     estimates = []
     comparisons = []

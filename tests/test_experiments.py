@@ -113,7 +113,11 @@ def sparse_cliff_spec(quadratic_spec, *, master_seed):
 def diverging_report(spec, monkeypatch, chunk_sizes):
     """The (replicate, law, iteration) tuples that :func:`run_experiment` reports
     for ``spec`` under each chunk size, worker count and row tile size.
+
+    Blocks are made of whole segments, so one-row segments let the chunk
+    sizes split the replicates into blocks of that many rows.
     """
+    monkeypatch.setattr(experiments, "_SEGMENT_ROWS", 1)
     reports = set()
     for tile_words in TILE_WORDS:
         monkeypatch.setattr(experiments, "_TILE_WORDS", tile_words)
@@ -292,6 +296,8 @@ class TestRunExperiment:
     @pytest.mark.parametrize("spec_name", ("quadratic_spec", "quartic_spec"))
     def test_reproducible_and_chunk_invariant(self, request, spec_name, monkeypatch):
         spec = small_spec(request.getfixturevalue(spec_name), k_values=(1, 4), n_reps=3000)
+        # one-row segments, so that a chunk size of 100 makes 100-row blocks
+        monkeypatch.setattr(experiments, "_SEGMENT_ROWS", 1)
         baseline = run_experiment(spec, keep_squared_errors=True)
         rerun = run_experiment(spec, keep_squared_errors=True)
         for key, values in baseline.squared_errors.items():
@@ -494,6 +500,8 @@ class TestRunExperiment:
         # one worker: with more, the rows of a block after the failing one are
         # evaluated as well until that block sees the failure
         monkeypatch.setattr(experiments, "WORKERS", 1)
+        # one-row segments, so that a chunk size of 100 makes 100-row blocks
+        monkeypatch.setattr(experiments, "_SEGMENT_ROWS", 1)
         spec = frozen_cliff_spec
         cliff = spec.problem.loss.evaluator
         batch_rows = []
@@ -516,6 +524,8 @@ class TestRunExperiment:
 
     def test_error_in_one_block_stops_the_others(self, quadratic_spec, monkeypatch):
         monkeypatch.setattr(experiments, "WORKERS", 2)
+        # one-row segments, so that the two blocks split the rows in half
+        monkeypatch.setattr(experiments, "_SEGMENT_ROWS", 1)
         spec = small_spec(quadratic_spec, k_values=(1000,), n_reps=3001)
         quadratic = spec.problem.loss.evaluator
         first_block_calls = []
@@ -550,7 +560,7 @@ class TestRunExperiment:
 
     def test_memory_does_not_grow_with_the_number_of_k(self, quadratic_spec, monkeypatch):
         # the squared errors at each k reduce to moments per segment of
-        # 4096 rows, in buffers that every k reuses; one worker, as two
+        # 256 rows, in buffers that every k reuses; one worker, as two
         # blocks overlap for a time that depends on k_max
         monkeypatch.setattr(experiments, "WORKERS", 1)
         n = 1 << 16
@@ -562,9 +572,9 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("spec_name", ("quadratic_spec", "quartic_spec"))
     def test_split_invariant_with_small_segments(self, request, spec_name, monkeypatch):
-        # 64-row segments: 750-row blocks hold whole segments and hand back
-        # edge pieces, and 20-row blocks build each segment from four or five
-        # pieces; 3000 rows leave a last segment of 56
+        # 64-row segments, 47 of them, the last one 56 rows: 997-row chunks
+        # make blocks of 11 or 12 segments, and 20- and 7-row chunks make 47
+        # blocks of one segment each
         monkeypatch.setattr(experiments, "_SEGMENT_ROWS", 64)
         spec = small_spec(request.getfixturevalue(spec_name), k_values=(1, 4), n_reps=3000)
         baseline = run_experiment(spec)
@@ -583,6 +593,31 @@ class TestRunExperiment:
             assert blocked.estimates == baseline.estimates
             assert blocked.comparisons == baseline.comparisons
             assert render_csv(blocked) == text
+
+    def test_blocks_are_whole_segments(self, quadratic_spec, monkeypatch):
+        calls = []
+        uniform_block = streams.uniform_block
+
+        def spy(*args, start, stop, **kwargs):
+            calls.append((start, stop))
+            return uniform_block(*args, start=start, stop=stop, **kwargs)
+
+        monkeypatch.setattr(streams, "uniform_block", spy)
+        # 79 segments of 256 rows, the last one 32: two workers take 39 and 40
+        monkeypatch.setattr(experiments, "WORKERS", 2)
+        run_experiment(small_spec(quadratic_spec, n_reps=20_000))
+        assert sorted(set(calls)) == [(0, 9984), (9984, 20_000)]
+        segment = experiments._SEGMENT_ROWS
+        for workers in WORKER_COUNTS:
+            for chunk_size in (997, 7):
+                monkeypatch.setattr(experiments, "WORKERS", workers)
+                monkeypatch.setattr(experiments, "CHUNK_SIZE", chunk_size)
+                calls.clear()
+                run_experiment(small_spec(quadratic_spec, n_reps=3000))
+                blocks = sorted(set(calls))
+                assert blocks[0][0] == 0 and blocks[-1][1] == 3000
+                assert all(start % segment == 0 for start, _ in blocks)
+                assert all(stop == start for (_, stop), (start, _) in zip(blocks, blocks[1:]))
 
     def test_merged_moments_match_two_pass(self, quadratic_spec, monkeypatch):
         monkeypatch.setattr(experiments, "CHUNK_SIZE", 997)
