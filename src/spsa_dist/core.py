@@ -20,6 +20,11 @@ applying the inverse normal CDF to uniform draws, so each iteration consumes
 p + 1 uniforms: one per perturbation component and one for the noise; this
 keeps random streams seekable for the replicated experiment harness. Runs are
 pure functions of (configuration, seed).
+
+A perturbation law is any object with an elementwise map
+``deltas_from_uniforms(u)`` from uniforms to components. The step arithmetic
+is one unchecked kernel: :func:`sp_gradient` and :func:`spsa_step` check their
+inputs at every call, :func:`spsa_run` and the experiment harness once.
 """
 
 from __future__ import annotations
@@ -210,6 +215,33 @@ def standard_normal_from_uniform(u):
     return ndtri(np.maximum(u, _MIN_UNIFORM))
 
 
+def _check_nonzero(delta: np.ndarray) -> None:
+    # counts -0.0 as zero and NaN as nonzero, as delta == 0.0 does
+    if np.count_nonzero(delta) != delta.size:
+        raise ValueError("perturbation components must be nonzero")
+
+
+def _sp_step(evaluator, theta, shift, noise, a_k=None, out=None):
+    """The unchecked gradient estimate and, given ``a_k``, the SPSA update.
+
+    ``shift`` is ``c_k * delta``, shaped like ``theta`` (..., p); it is used as
+    scratch and holds the gradient estimate afterwards. Without ``a_k`` the
+    estimate is returned; with it, ``theta - a_k * estimate`` is written into
+    ``out`` (which may be ``theta``) and returned. Callers check the inputs
+    and set the floating-point error state.
+    """
+    point = theta + shift
+    # a new array, so ``point`` is free again even if the result is a view of it
+    diff = evaluator(point) + noise
+    diff -= evaluator(np.subtract(theta, shift, out=point))
+    shift *= 2.0
+    grad = np.divide(np.asarray(diff)[..., None], shift, out=shift)
+    if a_k is None:
+        return grad
+    grad *= a_k
+    return np.subtract(theta, grad, out=out)
+
+
 def sp_gradient(problem: ProblemConfig, theta, c_k: float, delta, noise) -> np.ndarray:
     """Simultaneous-perturbation gradient estimate from two evaluations.
 
@@ -228,16 +260,8 @@ def sp_gradient(problem: ProblemConfig, theta, c_k: float, delta, noise) -> np.n
         raise ValueError(f"theta and delta must have the same shape (..., {problem.p})")
     if not (c_k > 0.0):
         raise ValueError("c_k must be positive")
-    # counts -0.0 as zero and NaN as nonzero, as delta == 0.0 does
-    if np.count_nonzero(delta) != delta.size:
-        raise ValueError("perturbation components must be nonzero")
-    shift = c_k * delta
-    point = theta + shift
-    # a new array, so ``point`` is free again even if the result is a view of it
-    diff = problem.loss.evaluator(point) + noise
-    diff -= problem.loss.evaluator(np.subtract(theta, shift, out=point))
-    shift *= 2.0
-    return np.divide(np.asarray(diff)[..., None], shift, out=shift)
+    _check_nonzero(delta)
+    return _sp_step(problem.loss.evaluator, theta, c_k * delta, noise)
 
 
 def spsa_step(
@@ -281,21 +305,38 @@ def spsa_run(
 
     Each iteration consumes p + 1 uniforms of ``rng``: one for each of the p
     perturbation components, then one behind the N(0, 2 * sigma2) noise
-    difference, in that order. ``dist`` only needs a ``sample_array(rng,
-    shape)`` method.
+    difference, in that order. All k_max * (p + 1) of them are drawn up front
+    in one ``rng.random((k_max, p + 1))`` call, so a run that diverges leaves
+    ``rng`` where a finished one does. ``dist`` only needs a
+    ``deltas_from_uniforms(u)`` method, which maps a (k_max, p) array of
+    uniforms elementwise to perturbation components; a zero component raises
+    ValueError before any loss evaluation.
     """
     if k_max < 1:
         raise ValueError("k_max must be a positive integer")
-    noise_scale = math.sqrt(2.0 * problem.sigma2)
-    theta = np.array(problem.theta0, dtype=float)
-    trajectory = np.full((k_max + 1, problem.p), np.nan)
-    trajectory[0] = theta
-    for k in range(k_max):
-        delta = dist.sample_array(rng, problem.p)
-        noise = noise_scale * standard_normal_from_uniform(rng.random())
-        if not spsa_step(problem, schedule, k, theta, delta, noise):
-            return SpsaRun(trajectory, 2 * (k + 1), diverged=True, diverged_at=k)
-        trajectory[k + 1] = theta
+    p = problem.p
+    u = rng.random((k_max, p + 1))
+    deltas = np.asarray(dist.deltas_from_uniforms(u[:, :p]), dtype=float)
+    if deltas.shape != (k_max, p):
+        raise ValueError(f"deltas_from_uniforms must keep the shape ({k_max}, {p}) of its input")
+    _check_nonzero(deltas)
+    gains_c = np.array([schedule.gain_c(k) for k in range(k_max)])
+    if not gains_c.min() > 0.0:  # a tiny c underflows at large k
+        raise ValueError("c_k must be positive")
+    shifts = gains_c[:, None] * deltas
+    noise = (math.sqrt(2.0 * problem.sigma2) * standard_normal_from_uniform(u[:, p])).tolist()
+    gains_a = [schedule.gain_a(k) for k in range(k_max)]
+    evaluator = problem.loss.evaluator
+    trajectory = np.full((k_max + 1, p), np.nan)
+    trajectory[0] = problem.theta0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(k_max):
+            theta = _sp_step(
+                evaluator, trajectory[k], shifts[k], noise[k], gains_a[k], trajectory[k + 1]
+            )
+            if not np.isfinite(theta).all():
+                theta[:] = np.nan
+                return SpsaRun(trajectory, 2 * (k + 1), diverged=True, diverged_at=k)
     return SpsaRun(trajectory, 2 * k_max)
 
 

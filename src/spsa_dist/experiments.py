@@ -31,7 +31,7 @@ import numpy as np
 from scipy.special import stdtr
 
 from . import streams, theory
-from .core import ProblemConfig, GainSchedule, spsa_step, standard_normal_from_uniform
+from .core import ProblemConfig, GainSchedule, _sp_step, standard_normal_from_uniform
 from .perturbations import BERNOULLI, SEGMENTED_UNIFORM
 
 __all__ = [
@@ -242,6 +242,7 @@ def run_experiment(spec: ExperimentSpec, *, keep_squared_errors: bool = False) -
         (SEGMENTED_UNIFORM, streams.SEGMENTED_UNIFORM_STREAM, spec.schedule_su),
     )
     problem = spec.problem
+    evaluator = problem.loss.evaluator
     p = problem.p
     n = spec.n_reps
     noise_scale = math.sqrt(2.0 * problem.sigma2)
@@ -277,7 +278,10 @@ def run_experiment(spec: ExperimentSpec, *, keep_squared_errors: bool = False) -
 
     def run_block(index: int):
         try:
-            return step_block(index)
+            # one error state per block: an overflow or inf - inf shows as a
+            # non-finite iterate or squared error, and both are checked
+            with np.errstate(over="ignore", invalid="ignore"):
+                return step_block(index)
         except BaseException:
             fail(-1)
             raise
@@ -322,8 +326,11 @@ def run_experiment(spec: ExperimentSpec, *, keep_squared_errors: bool = False) -
                     if a == b:
                         break
                     current = theta[dist.name][a:b]
-                    delta = dist.deltas_from_uniforms(draws[stream_tag][a:b])
-                    if not spsa_step(problem, schedule, k, current, delta, noise):
+                    # both laws' components are nonzero, so the step needs no check
+                    shift = dist.deltas_from_uniforms(draws[stream_tag][a:b])
+                    shift *= schedule.gain_c(k)
+                    _sp_step(evaluator, current, shift, noise, schedule.gain_a(k), current)
+                    if not np.isfinite(current).all():
                         r = a + int(np.flatnonzero(~np.isfinite(current).all(axis=1))[0])
                         diverged = DivergedRunError(start + r, dist.name, k)
                         fail(index)
@@ -336,9 +343,8 @@ def run_experiment(spec: ExperimentSpec, *, keep_squared_errors: bool = False) -
                 if (k + 1) in wanted and diverged is None:
                     for law, values in enumerate(theta.values()):
                         err = values[a:b] - theta_star
-                        with np.errstate(over="ignore"):  # checked after the merge
-                            err *= err
-                            err.sum(axis=1, out=harvest[law, a:b])
+                        err *= err  # may overflow; checked after the merge
+                        err.sum(axis=1, out=harvest[law, a:b])
                 a = b
             if (k + 1) in wanted and diverged is None:
                 col = wanted[k + 1]
@@ -347,9 +353,8 @@ def run_experiment(spec: ExperimentSpec, *, keep_squared_errors: bool = False) -
                     kept[col, :, start:stop] = errors
                 segments = table[start // segment : -(-stop // segment), col]
                 segments[:, :2] = _moments(errors, segment).swapaxes(0, 1)
-                # the paired difference, in place of the Bernoulli errors
-                with np.errstate(invalid="ignore"):  # inf - inf
-                    np.subtract(errors[0], errors[1], out=errors[0])
+                # the paired difference, in place of the Bernoulli errors (inf - inf is nan)
+                np.subtract(errors[0], errors[1], out=errors[0])
                 segments[:, 2] = _moments(errors[0], segment)
         return diverged
 

@@ -95,7 +95,8 @@ class PerturbationDistribution:
         """Map each uniform draw in [0, 1) to one component, elementwise.
 
         This is the pure transform behind all sampling, exposed so that
-        simulation harnesses can draw their uniforms from seekable streams.
+        simulation harnesses can draw their uniforms from seekable streams,
+        and the one method ``core.spsa_run`` calls, once per run.
         """
         raise NotImplementedError
 

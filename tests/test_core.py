@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from spsa_dist import core
+from spsa_dist.config import bundled_config_text, parse_config
 from spsa_dist.core import (
     GainSchedule,
     LossFunction,
@@ -36,17 +37,15 @@ def quartic_problem(sigma2=0.0, theta0=(1.0, 1.0)):
 class FixedDelta:
     """Deterministic stand-in law for forced-perturbation tests.
 
-    It has only ``sample_array``, the one method ``spsa_run`` calls.
+    It has only ``deltas_from_uniforms``, the one method ``spsa_run`` calls:
+    row k of its result is the k-th of its vectors, taken in turn.
     """
 
     def __init__(self, *vectors):
         self.vectors = [np.asarray(v, dtype=float) for v in vectors]
-        self.calls = 0
 
-    def sample_array(self, rng, shape):
-        delta = self.vectors[self.calls % len(self.vectors)]
-        self.calls += 1
-        return delta.copy()
+    def deltas_from_uniforms(self, u):
+        return np.array([self.vectors[k % len(self.vectors)] for k in range(len(u))])
 
 
 class TestGains:
@@ -321,22 +320,91 @@ class TestSpsaRun:
         assert calls == 14
         assert run.n_loss_evals == 14
 
-    def test_single_stream_reconstruction(self):
+    @pytest.mark.parametrize("dist", (BERNOULLI, SEGMENTED_UNIFORM), ids=lambda d: d.name)
+    @pytest.mark.parametrize("config", ("quadratic", "quartic"))
+    def test_single_stream_reconstruction(self, config, dist):
         # per iteration: one uniform for each of the p components, then the
         # one uniform behind the N(0, 2 sigma2) noise difference, all from the
-        # one generator
-        problem = quadratic_problem(sigma2=1.0)
-        schedule = GainSchedule(a=0.01897, c=0.1)
-        run = spsa_run(problem, schedule, SEGMENTED_UNIFORM, 5, np.random.default_rng(7))
-        rng = np.random.default_rng(7)
-        theta = np.array([0.3, 0.3])
-        for k in range(5):
-            u = rng.random(3)
-            delta = SEGMENTED_UNIFORM.deltas_from_uniforms(u[:2])
-            noise = math.sqrt(2.0) * float(core.standard_normal_from_uniform(u[2]))
-            grad = sp_gradient(problem, theta, schedule.gain_c(k), delta, noise)
-            theta = theta - schedule.gain_a(k) * grad
-            assert np.array_equal(theta, run.trajectory[k + 1])
+        # one generator; each step here takes its own p + 1 words and goes
+        # through the public, checked sp_gradient, while the run draws all
+        # its words up front
+        spec = parse_config(bundled_config_text(config), source=config).experiment
+        problem = spec.problem
+        schedule = spec.schedule_bern if dist is BERNOULLI else spec.schedule_su
+        k_max, p = 300, problem.p
+        run = spsa_run(problem, schedule, dist, k_max, np.random.default_rng(11))
+        rng = np.random.default_rng(11)
+        expected = [np.array(problem.theta0)]
+        for k in range(k_max):
+            u = rng.random(p + 1)
+            delta = dist.deltas_from_uniforms(u[:p])
+            noise = math.sqrt(2.0 * problem.sigma2) * core.standard_normal_from_uniform(u[p])
+            grad = sp_gradient(problem, expected[-1], schedule.gain_c(k), delta, noise)
+            expected.append(expected[-1] - schedule.gain_a(k) * grad)
+        assert not run.diverged and run.n_loss_evals == 2 * k_max
+        assert run.trajectory.tobytes() == np.array(expected).tobytes()
+
+    def test_diverged_run_stops_evaluating(self):
+        # the quartic overflows to inf - inf = nan; the cliff, which pulls t1
+        # towards 3 but is infinite past t1 = 1, sends the iterate to +-inf
+        def cliff(theta):
+            t1, t2 = theta[..., 0], theta[..., 1]
+            return np.where(t1 > 1.0, np.inf, (t1 - 3.0) ** 2 + t2 * t2)
+
+        calls = 0
+
+        def counting(evaluator):
+            def evaluate(theta):
+                nonlocal calls
+                calls += 1
+                return evaluator(theta)
+
+            return LossFunction(name="tmp_counting", evaluator=evaluate, dimension=2)
+
+        cases = (
+            (get_loss("quartic_4_2").evaluator, (1.0, 1.0), GainSchedule(a=1e305, c=1.0)),
+            (cliff, (0.0, 0.0), GainSchedule(a=0.1, c=0.2)),
+        )
+        for evaluator, theta0, schedule in cases:
+            loss = counting(evaluator)
+            problem = ProblemConfig(p=2, loss=loss, theta_star=(0, 0), sigma2=1.0, theta0=theta0)
+            for dist in (BERNOULLI, SEGMENTED_UNIFORM):
+                calls = 0
+                run = spsa_run(problem, schedule, dist, 50, np.random.default_rng(4))
+                assert run.diverged and run.diverged_at > 0
+                assert calls == run.n_loss_evals == 2 * (run.diverged_at + 1)
+                assert np.isfinite(run.trajectory[: run.diverged_at + 1]).all()
+                assert np.isnan(run.trajectory[run.diverged_at + 1 :]).all()
+
+    def test_zero_component_raises_before_any_evaluation(self):
+        calls = 0
+
+        def counting_eval(theta):
+            nonlocal calls
+            calls += 1
+            return get_loss("quadratic_4_1").evaluator(theta)
+
+        loss = LossFunction(name="tmp_counting_zero", evaluator=counting_eval, dimension=2)
+        problem = ProblemConfig(p=2, loss=loss, theta_star=(0, 0), sigma2=1.0, theta0=(1, 1))
+        # the zero comes at the third step
+        law = FixedDelta((1.0, 1.0), (1.0, -1.0), (1.0, -0.0))
+        with pytest.raises(ValueError, match="nonzero"):
+            spsa_run(problem, GainSchedule(a=0.1, c=0.2), law, 5, np.random.default_rng(0))
+        assert calls == 0
+
+    def test_generator_advances_by_every_word_of_the_run(self):
+        # a finished run and a diverged one both take k_max * (p + 1) words
+        k_max = 10
+        for problem, schedule, diverges in (
+            (quartic_problem(sigma2=1.0), GainSchedule(a=0.05, c=1.0), False),
+            (quartic_problem(sigma2=1.0), GainSchedule(a=1e305, c=1.0), True),
+        ):
+            rng = np.random.default_rng(12)
+            run = spsa_run(problem, schedule, SEGMENTED_UNIFORM, k_max, rng)
+            assert run.diverged is diverges
+            reference = np.random.default_rng(12)
+            reference.random(k_max * (problem.p + 1))
+            assert rng.bit_generator.state == reference.bit_generator.state
 
     def test_divergence_flagged_not_raised(self):
         # a step gain this large sends the next evaluation to inf, so the

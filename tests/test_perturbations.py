@@ -166,6 +166,15 @@ def test_sign_transform_matches_where_form_bit_for_bit(dist):
     assert got[: len(EDGES)].tolist() == [-1.0, -1.0, 1.0, 1.0]
 
 
+@pytest.mark.parametrize("dist", (BERNOULLI, SEGMENTED_UNIFORM), ids=lambda d: d.name)
+def test_components_are_bounded_away_from_zero(dist):
+    # the experiment harness steps without a nonzero check, which rests on this
+    u = np.random.default_rng(24).random(10_000)
+    u[: len(EDGES)] = EDGES
+    smallest = 1.0 if dist is BERNOULLI else SEGMENT_INNER
+    assert np.abs(dist.deltas_from_uniforms(u)).min() >= smallest
+
+
 def test_segmented_uniform_edges():
     got = SEGMENTED_UNIFORM.deltas_from_uniforms(np.array(EDGES))
     assert got[0] == pytest.approx(-SEGMENT_OUTER, abs=1e-15)
