@@ -23,8 +23,8 @@ pure functions of (configuration, seed).
 
 A perturbation law is any object with an elementwise map
 ``deltas_from_uniforms(u)`` from uniforms to components. The step arithmetic
-is one unchecked kernel: :func:`sp_gradient` and :func:`spsa_step` check their
-inputs at every call, :func:`spsa_run` and the experiment harness once.
+is one unchecked kernel: :func:`sp_gradient` checks its inputs at every call,
+:func:`spsa_run` and the experiment harness once.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ __all__ = [
     "SpsaRun",
     "standard_normal_from_uniform",
     "sp_gradient",
-    "spsa_step",
     "spsa_run",
     "finite_difference_gradient",
 ]
@@ -262,20 +261,6 @@ def sp_gradient(problem: ProblemConfig, theta, c_k: float, delta, noise) -> np.n
         raise ValueError("c_k must be positive")
     _check_nonzero(delta)
     return _sp_step(problem.loss.evaluator, theta, c_k * delta, noise)
-
-
-def spsa_step(
-    problem: ProblemConfig, schedule: GainSchedule, k: int, theta: np.ndarray, delta, noise
-) -> bool:
-    """Step the float rows ``theta`` (..., p) from iterate k in place; True if all stay finite.
-
-    ``noise`` (...) is each row's measurement-noise difference, as in :func:`sp_gradient`.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        step = sp_gradient(problem, theta, schedule.gain_c(k), delta, noise)
-        step *= schedule.gain_a(k)
-        theta -= step
-    return bool(np.isfinite(theta).all())
 
 
 @dataclass

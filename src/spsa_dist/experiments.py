@@ -13,7 +13,7 @@ segmented uniform.
 
 All randomness comes from the absolutely addressed streams in
 :mod:`spsa_dist.streams`, and the squared errors reduce to moments over fixed
-replicate segments, each taken within one block and combined in one fixed
+replicate segments, each taken within one row tile and combined in one fixed
 sum, so results are bit-identical for a given (spec, master_seed) no matter
 how many segments a block holds or how many threads run them, and identical
 reruns produce byte-identical CSV files.
@@ -145,8 +145,6 @@ class TheoryComparison:
 @dataclass(frozen=True)
 class ExperimentResult:
     spec: ExperimentSpec
-    # per-replicate squared errors by (law, k); None unless kept on request
-    squared_errors: dict[tuple[str, int], np.ndarray] | None
     estimates: tuple[MseEstimate, ...]
     comparisons: tuple[PairedComparison, ...]
 
@@ -211,7 +209,7 @@ def _moments(values: np.ndarray, segment: int) -> np.ndarray:
     return np.concatenate(moments, axis=-2)
 
 
-def run_experiment(spec: ExperimentSpec, *, keep_squared_errors: bool = False) -> ExperimentResult:
+def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Estimate the MSE of both laws at every requested k, with pairing.
 
     The replicates fall into segments of ``_SEGMENT_ROWS``, segment j holding
@@ -222,13 +220,13 @@ def run_experiment(spec: ExperimentSpec, *, keep_squared_errors: bool = False) -
     absolute stream address, so neither the block sizes nor the worker count
     changes any squared error.
 
-    The squared errors are not kept. At each requested k a block reduces
-    them to the mean and M2 of each of its segments, for each law and for
-    the paired difference. The segments then combine in one fixed sum, so
-    every result is the same bits under any split. Memory is O(workers x
-    block x p + n_reps / _SEGMENT_ROWS x len(k_values)).
-    ``keep_squared_errors=True`` also keeps every replicate's squared errors
-    in ``ExperimentResult.squared_errors``, which is None otherwise.
+    A block steps its rows in tiles of ``_TILE_WORDS // p`` rows rounded
+    down to whole segments. The squared errors are not kept: at each
+    requested k a tile reduces them to the mean and M2 of each of its
+    segments, for each law and for the paired difference. The segments then
+    combine in one fixed sum, so every result is the same bits under any
+    split. Memory is O(workers x block x p + n_reps / _SEGMENT_ROWS x
+    len(k_values)).
 
     A non-finite iterate aborts the whole experiment with a
     :class:`DivergedRunError` naming the smallest diverging replicate, its
@@ -258,14 +256,14 @@ def run_experiment(spec: ExperimentSpec, *, keep_squared_errors: bool = False) -
     # segmented-uniform squared errors and their difference. Allocated before
     # any block starts, so a size the machine refuses fails at once.
     table = np.empty((n_segments, n_k, 3, 2))
-    kept = np.empty((n_k, 2, n)) if keep_squared_errors else None
 
     n_blocks = min(n_segments, max(WORKERS, -(-n // CHUNK_SIZE)))
     edges = [min(n, index * n_segments // n_blocks * segment) for index in range(n_blocks + 1)]
     # Every block sizes its buffers for the largest block, so a block can
     # reuse the heap chunks that an earlier one freed.
     block_rows = max(stop - start for start, stop in zip(edges, edges[1:]))
-    tile_rows = max(1, _TILE_WORDS // p)
+    # whole segments, so that each tile writes the moments of its own segments
+    tile_rows = max(1, _TILE_WORDS // p // segment) * segment
     # Index of the lowest block that has diverged, or -1 once a block raised;
     # a block stops at its next iteration when this falls below its own index.
     first_failed = n_blocks
@@ -292,8 +290,8 @@ def run_experiment(spec: ExperimentSpec, *, keep_squared_errors: bool = False) -
         """
         start, stop = edges[index], edges[index + 1]
         rows = stop - start
-        # the Bernoulli and segmented-uniform squared errors at one k
-        harvest = np.empty((2, block_rows))
+        # a tile's Bernoulli and segmented-uniform squared errors at one k, and their difference
+        errors = np.empty((3, tile_rows))
         theta = {dist.name: np.tile(theta0, (block_rows, 1)) for dist, _, _ in laws}
         # One draw buffer per stream, refilled at every iteration. The steps
         # then run over row tiles, whose temporaries stay in cache where
@@ -341,21 +339,15 @@ def run_experiment(spec: ExperimentSpec, *, keep_squared_errors: bool = False) -
                         rows = b = r
                         noise = noise[: r - a]
                 if (k + 1) in wanted and diverged is None:
+                    tile = errors[:, : b - a]
                     for law, values in enumerate(theta.values()):
                         err = values[a:b] - theta_star
                         err *= err  # may overflow; checked after the merge
-                        err.sum(axis=1, out=harvest[law, a:b])
+                        err.sum(axis=1, out=tile[law])
+                    np.subtract(tile[0], tile[1], out=tile[2])  # inf - inf is nan
+                    segments = slice((start + a) // segment, -(-(start + b) // segment))
+                    table[segments, wanted[k + 1]] = _moments(tile, segment).swapaxes(0, 1)
                 a = b
-            if (k + 1) in wanted and diverged is None:
-                col = wanted[k + 1]
-                errors = harvest[:, :rows]
-                if kept is not None:
-                    kept[col, :, start:stop] = errors
-                segments = table[start // segment : -(-stop // segment), col]
-                segments[:, :2] = _moments(errors, segment).swapaxes(0, 1)
-                # the paired difference, in place of the Bernoulli errors (inf - inf is nan)
-                np.subtract(errors[0], errors[1], out=errors[0])
-                segments[:, 2] = _moments(errors[0], segment)
         return diverged
 
     # glibc hands a freed heap top over its trim threshold back to the kernel,
@@ -410,16 +402,8 @@ def run_experiment(spec: ExperimentSpec, *, keep_squared_errors: bool = False) -
                 std_error=paired_sd / math.sqrt(n),
             )
         )
-    squared_errors = None
-    if kept is not None:
-        squared_errors = {
-            (dist.name, k): kept[col, law]
-            for col, k in enumerate(spec.k_values)
-            for law, (dist, _, _) in enumerate(laws)
-        }
     return ExperimentResult(
         spec=spec,
-        squared_errors=squared_errors,
         estimates=tuple(estimates),
         comparisons=tuple(comparisons),
     )

@@ -1,6 +1,5 @@
 import itertools
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +16,6 @@ from spsa_dist.core import (
     registered_losses,
     sp_gradient,
     spsa_run,
-    spsa_step,
 )
 from spsa_dist.perturbations import BERNOULLI, SEGMENTED_UNIFORM
 
@@ -215,49 +213,6 @@ class TestSpGradient:
             got = sp_gradient(viewing, rows, 0.1, deltas, noise)
             assert got.tobytes() == sp_gradient(copying, rows, 0.1, deltas, noise).tobytes()
             assert got == pytest.approx(deltas[..., :1] / deltas, rel=1e-9)
-
-
-class TestSpsaStep:
-    @pytest.mark.parametrize("dist", (BERNOULLI, SEGMENTED_UNIFORM), ids=lambda d: d.name)
-    def test_block_step_matches_single_rows_and_out_of_place_update(self, dist):
-        problem = quartic_problem(sigma2=1.0)
-        schedule = GainSchedule(a=0.05, c=0.2)
-        rng = np.random.default_rng(31)
-        rows, k = 64, 3
-        theta0 = rng.uniform(-2.0, 2.0, size=(rows, 2))
-        delta = dist.sample_array(rng, (rows, 2))
-        eps = rng.normal(size=(rows, 2))
-        noise = eps[:, 0] - eps[:, 1]
-        assert (noise != 0.0).all()
-        theta = theta0.copy()
-        assert spsa_step(problem, schedule, k, theta, delta, noise) is True
-        grad = sp_gradient(problem, theta0, schedule.gain_c(k), delta, noise)
-        assert theta.tobytes() == (theta0 - schedule.gain_a(k) * grad).tobytes()
-        for r in range(rows):
-            row = theta0[r].copy()
-            assert spsa_step(problem, schedule, k, row, delta[r], noise[r])
-            assert row.tobytes() == theta[r].tobytes()
-
-    def test_false_exactly_when_a_row_leaves_the_finite_range(self):
-        # infinite past t1 = 1: at c_0 = 0.5 and delta = (1, 1), a row at
-        # t1 = 0.6 gets an inf step and a row at t1 = 2 an inf - inf = nan step
-        def capped(theta):
-            t1, t2 = theta[..., 0], theta[..., 1]
-            return np.where(t1 > 1.0, np.inf, t1 * t1 + t2 * t2)
-
-        loss = LossFunction(name="tmp_capped", evaluator=capped, dimension=2)
-        problem = ProblemConfig(p=2, loss=loss, theta_star=(0, 0), sigma2=0.0, theta0=(0, 0))
-        schedule = GainSchedule(a=0.1, c=0.5)
-        starts = np.array([[0.0, 0.0], [0.4, -0.3], [0.6, 0.0], [2.0, 0.0]])
-        for rows, finite in (([0, 1], True), ([0, 2], False), ([3], False), ([1, 2, 3], False)):
-            theta = starts[rows]
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                noise = np.zeros(len(rows))
-                result = spsa_step(problem, schedule, 0, theta, np.ones_like(theta), noise)
-            assert result is finite
-            assert np.isfinite(theta).all() == finite
-            assert np.isfinite(theta[np.array(rows) < 2]).all()
 
 
 class TestSpsaRun:

@@ -32,6 +32,10 @@ from spsa_dist.perturbations import BERNOULLI, SEGMENTED_UNIFORM
 from spsa_dist.theory import condition_lhs_explicit, condition_input_from_problem
 
 WORKER_COUNTS = (1, 2, 3)
+LAWS = (
+    (BERNOULLI, streams.BERNOULLI_STREAM),
+    (SEGMENTED_UNIFORM, streams.SEGMENTED_UNIFORM_STREAM),
+)
 # float64 words per row tile of a block step: the default, and 7- and 1-row
 # tiles at p = 2
 TILE_WORDS = (experiments._TILE_WORDS, 14, 2)
@@ -67,6 +71,95 @@ def cliff_spec(quadratic_spec, *, master_seed, p=2):
         n_reps=200,
         master_seed=master_seed,
     )
+
+
+@pytest.fixture(scope="module")
+def sum_of_squares_spec(quadratic_spec):
+    """The bundled quadratic's run on the sum of squares in three dimensions,
+    where 2^16 // p rows are no whole number of segments.
+    """
+
+    def sum_of_squares(theta):
+        return (theta * theta).sum(axis=-1)
+
+    problem = ProblemConfig(
+        p=3,
+        loss=LossFunction(name="sum_of_squares", evaluator=sum_of_squares, dimension=3),
+        theta_star=(0.0,) * 3,
+        sigma2=1.0,
+        theta0=(0.3, -0.2, 0.5),
+    )
+    return replace(quadratic_spec, problem=problem)
+
+
+def rebuilt_squared_errors(spec):
+    """(law, k) -> every replicate's squared error at each requested k, rebuilt
+    for all rows at once from the public stream addresses and
+    :func:`sp_gradient`, without the harness.
+    """
+    problem = spec.problem
+    n = spec.n_reps
+    noise_scale = math.sqrt(2.0 * problem.sigma2)
+    schedules = {"bernoulli": spec.schedule_bern, "segmented_uniform": spec.schedule_su}
+    theta = {dist.name: np.tile(problem.theta0, (n, 1)) for dist, _ in LAWS}
+    errors = {}
+    for k in range(spec.k_values[-1]):
+
+        def draw(stream_tag, words_per_rep):
+            return streams.uniform_block(
+                spec.master_seed,
+                stream_tag,
+                n_reps=n,
+                words_per_rep=words_per_rep,
+                iteration=k,
+                start=0,
+                stop=n,
+            )
+
+        noise = noise_scale * standard_normal_from_uniform(draw(streams.NOISE_STREAM, 1)[:, 0])
+        for dist, stream_tag in LAWS:
+            schedule = schedules[dist.name]
+            delta = dist.deltas_from_uniforms(draw(stream_tag, problem.p))
+            grad = sp_gradient(problem, theta[dist.name], schedule.gain_c(k), delta, noise)
+            theta[dist.name] = theta[dist.name] - schedule.gain_a(k) * grad
+            if k + 1 in spec.k_values:
+                err = theta[dist.name] - np.asarray(problem.theta_star)
+                errors[(dist.name, k + 1)] = (err * err).sum(axis=1)
+    return errors
+
+
+def harvested_squared_errors(spec, monkeypatch):
+    """:func:`run_experiment` on ``spec``, and (law, k) -> every replicate's
+    squared error at each requested k as the harness hands it to
+    ``experiments._moments``.
+
+    The tiles of a block follow each other in row order, so a tile's rows
+    are placed from the ``start`` and ``iteration`` of its thread's last
+    ``streams.uniform_block`` call and the tiles that thread reduced since.
+    """
+    errors = {
+        (dist.name, k): np.full(spec.n_reps, np.nan) for dist, _ in LAWS for k in spec.k_values
+    }
+    local = threading.local()
+    uniform_block = streams.uniform_block
+    moments = experiments._moments
+
+    def block_spy(*args, iteration, start, **kwargs):
+        local.iteration, local.row = iteration, start
+        return uniform_block(*args, iteration=iteration, start=start, **kwargs)
+
+    def moments_spy(values, segment):
+        rows = slice(local.row, local.row + values.shape[-1])
+        for law, (dist, _) in enumerate(LAWS):
+            errors[(dist.name, local.iteration + 1)][rows] = values[law]
+        local.row = rows.stop
+        return moments(values, segment)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(streams, "uniform_block", block_spy)
+        patch.setattr(experiments, "_moments", moments_spy)
+        result = run_experiment(spec)
+    return result, errors
 
 
 def diverging_rows(spec, dist, stream_tag, iteration=0):
@@ -296,12 +389,11 @@ class TestRunExperiment:
     @pytest.mark.parametrize("spec_name", ("quadratic_spec", "quartic_spec"))
     def test_reproducible_and_chunk_invariant(self, request, spec_name, monkeypatch):
         spec = small_spec(request.getfixturevalue(spec_name), k_values=(1, 4), n_reps=3000)
+        rebuilt = rebuilt_squared_errors(spec)
         # one-row segments, so that a chunk size of 100 makes 100-row blocks
         monkeypatch.setattr(experiments, "_SEGMENT_ROWS", 1)
-        baseline = run_experiment(spec, keep_squared_errors=True)
-        rerun = run_experiment(spec, keep_squared_errors=True)
-        for key, values in baseline.squared_errors.items():
-            assert np.array_equal(values, rerun.squared_errors[key])
+        baseline = run_experiment(spec)
+        assert render_csv(run_experiment(spec)) == render_csv(baseline)
         # every worker count and block size at the default and 7-row tiles;
         # 1-row tiles cost a second per run, so they get one split
         splits = [
@@ -314,25 +406,24 @@ class TestRunExperiment:
             monkeypatch.setattr(experiments, "_TILE_WORDS", tile_words)
             monkeypatch.setattr(experiments, "WORKERS", workers)
             monkeypatch.setattr(experiments, "CHUNK_SIZE", chunk_size)
-            blocked = run_experiment(spec, keep_squared_errors=True)
-            for key, values in baseline.squared_errors.items():
-                assert np.array_equal(values, blocked.squared_errors[key])
+            blocked, harvested = harvested_squared_errors(spec, monkeypatch)
+            for key, values in rebuilt.items():
+                assert np.array_equal(values, harvested[key])
             assert render_csv(baseline) == render_csv(blocked)
 
     def test_k_subset_harvests_same_errors(self, quadratic_spec):
         spec_all = small_spec(quadratic_spec, k_values=(1, 3), n_reps=500)
         spec_k1 = small_spec(quadratic_spec, k_values=(1,), n_reps=500)
-        all_result = run_experiment(spec_all, keep_squared_errors=True)
-        k1_result = run_experiment(spec_k1, keep_squared_errors=True)
-        for name in ("bernoulli", "segmented_uniform"):
-            assert np.array_equal(
-                all_result.squared_errors[(name, 1)], k1_result.squared_errors[(name, 1)]
-            )
+        all_result = run_experiment(spec_all)
+        k1_result = run_experiment(spec_k1)
+        assert [est for est in all_result.estimates if est.k == 1] == list(k1_result.estimates)
+        assert all_result.comparisons[:1] == k1_result.comparisons
 
     @pytest.mark.parametrize("spec_name", ("quadratic_spec", "quartic_spec"))
-    def test_replicates_match_scalar_reconstruction(self, request, spec_name):
+    def test_replicates_match_scalar_reconstruction(self, request, spec_name, monkeypatch):
         spec = small_spec(request.getfixturevalue(spec_name), k_values=(3,), n_reps=5)
-        result = run_experiment(spec, keep_squared_errors=True)
+        _, harvested = harvested_squared_errors(spec, monkeypatch)
+        rebuilt = rebuilt_squared_errors(spec)
         problem = spec.problem
         noise_scale = math.sqrt(2.0 * problem.sigma2)
         for replicate in range(spec.n_reps):
@@ -373,17 +464,18 @@ class TestRunExperiment:
                     theta[name] = theta[name] - schedule.gain_a(k) * grad
             for name in dists:
                 err = theta[name] - np.asarray(problem.theta_star)
-                assert float((err * err).sum()) == result.squared_errors[(name, 3)][replicate]
+                assert float((err * err).sum()) == harvested[(name, 3)][replicate]
+                assert float((err * err).sum()) == rebuilt[(name, 3)][replicate]
 
     def test_pairing_reduces_variance(self, quadratic_spec):
         # the covariance of the two laws' squared errors is about 6.3e-6 with a
         # sampling SE of 1.2e-6 at 10^6 replicates; at 2*10^4 the SE is 8.6e-6
+        # the three sample variances are n * SE^2
         spec = small_spec(quadratic_spec, n_reps=1_000_000)
-        result = run_experiment(spec, keep_squared_errors=True)
-        se_b = result.squared_errors[("bernoulli", 1)]
-        se_s = result.squared_errors[("segmented_uniform", 1)]
-        paired_var = np.var(se_b - se_s, ddof=1)
-        assert paired_var <= np.var(se_b, ddof=1) + np.var(se_s, ddof=1)
+        result = run_experiment(spec)
+        var_b, var_s = (spec.n_reps * est.std_error**2 for est in result.estimates)
+        (paired,) = result.comparisons
+        assert spec.n_reps * paired.std_error**2 <= var_b + var_s
 
     def test_divergence_aborts_with_diagnostic(self, quartic_spec):
         wild = GainSchedule(a=1e305, c=1.0)
@@ -549,14 +641,14 @@ class TestRunExperiment:
 
     def test_block_working_set_per_row(self, quadratic_spec, monkeypatch):
         # two blocks run at once, so a block may hold at most 18 float64 per
-        # row for peak RSS to stay put (the single-threaded harness held 27);
-        # no squared error is kept
+        # row for peak RSS to stay put (the single-threaded harness held 27).
+        # At 2^18 rows one block holds 8 tiles, whose squared errors reduce
+        # tile by tile: a block-sized buffer of them took 13.7 per row there
         monkeypatch.setattr(experiments, "WORKERS", 1)
-        n = 1 << 16
-        spec = small_spec(quadratic_spec, k_values=(1, 3), n_reps=n)
-        peak, result = traced_peak(run_experiment, spec)
-        assert result.squared_errors is None
-        assert peak / (8 * n) <= 18
+        for n, bound in ((1 << 16, 18), (1 << 18, 12)):
+            spec = small_spec(quadratic_spec, k_values=(1, 3), n_reps=n)
+            peak, _ = traced_peak(run_experiment, spec)
+            assert peak / (8 * n) <= bound, (n, peak / (8 * n))
 
     def test_memory_does_not_grow_with_the_number_of_k(self, quadratic_spec, monkeypatch):
         # the squared errors at each k reduce to moments per segment of
@@ -570,11 +662,13 @@ class TestRunExperiment:
         )
         assert twenty_k - one_k <= 8 * n
 
-    @pytest.mark.parametrize("spec_name", ("quadratic_spec", "quartic_spec"))
+    @pytest.mark.parametrize("spec_name", ("quadratic_spec", "quartic_spec", "sum_of_squares_spec"))
     def test_split_invariant_with_small_segments(self, request, spec_name, monkeypatch):
         # 64-row segments, 47 of them, the last one 56 rows: 997-row chunks
         # make blocks of 11 or 12 segments, and 20- and 7-row chunks make 47
-        # blocks of one segment each
+        # blocks of one segment each; 14-word tiles round up to one whole
+        # segment, and at p = 3 the 21845-row default tiles round down to 341
+        # segments
         monkeypatch.setattr(experiments, "_SEGMENT_ROWS", 64)
         spec = small_spec(request.getfixturevalue(spec_name), k_values=(1, 4), n_reps=3000)
         baseline = run_experiment(spec)
@@ -622,17 +716,15 @@ class TestRunExperiment:
     def test_merged_moments_match_two_pass(self, quadratic_spec, monkeypatch):
         monkeypatch.setattr(experiments, "CHUNK_SIZE", 997)
         spec = small_spec(quadratic_spec, k_values=(1, 3), n_reps=20_001)
-        result = run_experiment(spec, keep_squared_errors=True)
+        result = run_experiment(spec)
+        rebuilt = rebuilt_squared_errors(spec)
         root_n = math.sqrt(spec.n_reps)
         for est in result.estimates:
-            errors = result.squared_errors[(est.distribution, est.k)]
+            errors = rebuilt[(est.distribution, est.k)]
             assert est.mse == pytest.approx(errors.mean(), rel=1e-12)
             assert est.std_error == pytest.approx(errors.std(ddof=1) / root_n, rel=1e-12)
         for cmp in result.comparisons:
-            d = (
-                result.squared_errors[("bernoulli", cmp.k)]
-                - result.squared_errors[("segmented_uniform", cmp.k)]
-            )
+            d = rebuilt[("bernoulli", cmp.k)] - rebuilt[("segmented_uniform", cmp.k)]
             assert cmp.mean_diff == pytest.approx(d.mean(), rel=1e-12)
             assert cmp.std_error == pytest.approx(d.std(ddof=1) / root_n, rel=1e-12)
             ref = paired_t_test(d)
