@@ -126,7 +126,8 @@ def registered_losses() -> tuple[str, ...]:
 
 def _quadratic_eval(theta: np.ndarray) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
-    t1, t2 = theta[..., 0], theta[..., 1]
+    # [()] makes one point's components float64 scalars (no ufunc dispatch)
+    t1, t2 = theta[..., 0][()], theta[..., 1][()]
     return t1 * t1 - t1 * t2 + t2 * t2
 
 
@@ -138,7 +139,7 @@ def _quadratic_grad(theta: np.ndarray) -> np.ndarray:
 
 def _quartic_eval(theta: np.ndarray) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
-    t1, t2 = theta[..., 0], theta[..., 1]
+    t1, t2 = theta[..., 0][()], theta[..., 1][()]
     sq = t1 * t1  # t1**4 as sq * sq: libm pow on strided views is ~10x slower
     return sq * sq + sq + t1 * t2 + t2 * t2
 
@@ -314,13 +315,12 @@ def spsa_run(
     evaluator = problem.loss.evaluator
     trajectory = np.full((k_max + 1, p), np.nan)
     trajectory[0] = problem.theta0
+    steps = zip(trajectory, trajectory[1:], shifts, noise, gains_a)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(k_max):
-            theta = _sp_step(
-                evaluator, trajectory[k], shifts[k], noise[k], gains_a[k], trajectory[k + 1]
-            )
-            if not np.isfinite(theta).all():
-                theta[:] = np.nan
+        for k, (theta, next_theta, shift, noise_k, a_k) in enumerate(steps):
+            _sp_step(evaluator, theta, shift, noise_k, a_k, next_theta)
+            if not all(map(math.isfinite, next_theta.tolist())):
+                next_theta[:] = np.nan
                 return SpsaRun(trajectory, 2 * (k + 1), diverged=True, diverged_at=k)
     return SpsaRun(trajectory, 2 * k_max)
 

@@ -32,6 +32,14 @@ def quartic_problem(sigma2=0.0, theta0=(1.0, 1.0)):
     )
 
 
+# the bundled losses written out in Python floats, operation for operation as
+# their registered evaluators compute them
+PLAIN_LOSSES = {
+    "quadratic_4_1": lambda t1, t2: t1 * t1 - t1 * t2 + t2 * t2,
+    "quartic_4_2": lambda t1, t2: (t1 * t1) * (t1 * t1) + t1 * t1 + t1 * t2 + t2 * t2,
+}
+
+
 class FixedDelta:
     """Deterministic stand-in law for forced-perturbation tests.
 
@@ -112,6 +120,47 @@ class TestLossRegistry:
         np.testing.assert_allclose(
             get_loss("quartic_4_2").evaluator(theta), reference, rtol=1e-15, atol=0.0
         )
+
+
+@pytest.mark.parametrize("name", ("quadratic_4_1", "quartic_4_2"))
+class TestBundledEvaluators:
+    def test_one_point_gives_a_float64_scalar_equal_to_its_batch_row(self, name):
+        evaluator = get_loss(name).evaluator
+        batch = np.random.default_rng(31).uniform(-3.0, 3.0, size=(64, 2))
+        for row, value in zip(batch, evaluator(batch)):
+            for point in (row, row.tolist()):
+                result = evaluator(point)
+                assert type(result) is np.float64
+                assert result.tobytes() == value.tobytes()
+            assert value.tobytes() == np.float64(PLAIN_LOSSES[name](*row.tolist())).tobytes()
+
+    def test_batches_and_strided_views_match_row_by_row(self, name):
+        evaluator = get_loss(name).evaluator
+        rng = np.random.default_rng(32)
+        wide = rng.uniform(-3.0, 3.0, size=(40, 5))
+        columns = wide[:, 1:4:2]  # columns 1 and 3: a view that is not contiguous
+        assert not columns.flags.c_contiguous and np.shares_memory(columns, wide)
+        batches = (rng.uniform(-3.0, 3.0, size=(40, 2)), rng.uniform(-3.0, 3.0, size=(2, 40, 2)))
+        for points in (*batches, columns):
+            result = evaluator(points)
+            rows = [evaluator(row) for row in points.reshape(-1, 2)]
+            assert result.shape == points.shape[:-1]
+            assert result.tobytes() == np.array(rows).tobytes()
+
+    def test_finite_differences_and_stationarity_check_unchanged(self, name):
+        loss, plain, h = get_loss(name), PLAIN_LOSSES[name], 1e-5
+        fd = finite_difference_gradient(loss.evaluator, np.array([0.3, -0.7]), step=h)
+        expected = [
+            (plain(0.3 + h, -0.7) - plain(0.3 - h, -0.7)) / (2.0 * h),
+            (plain(0.3, -0.7 + h) - plain(0.3, -0.7 - h)) / (2.0 * h),
+        ]
+        assert fd.dtype == np.float64 and fd.tobytes() == np.array(expected).tobytes()
+        ProblemConfig(p=2, loss=loss, theta_star=(0.0, 0.0), sigma2=0.0, theta0=(0.3, -0.7))
+        # the gradient at (1, 0) is (2, -1) for the quadratic and (6, 1) for the quartic
+        norm = {"quadratic_4_1": math.sqrt(5.0), "quartic_4_2": math.sqrt(37.0)}[name]
+        message = rf"not a stationary point \(gradient norm {norm:g}\)"
+        with pytest.raises(ValueError, match=message):
+            ProblemConfig(p=2, loss=loss, theta_star=(1.0, 0.0), sigma2=0.0, theta0=(0.3, -0.7))
 
 
 class TestProblemConfig:
@@ -298,6 +347,66 @@ class TestSpsaRun:
             expected.append(expected[-1] - schedule.gain_a(k) * grad)
         assert not run.diverged and run.n_loss_evals == 2 * k_max
         assert run.trajectory.tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("dist", (BERNOULLI, SEGMENTED_UNIFORM), ids=lambda d: d.name)
+    @pytest.mark.parametrize("config", ("quadratic", "quartic"))
+    def test_plain_float_reference(self, config, dist):
+        # each step written out in Python floats with the bundled loss's own
+        # formula, without the step kernel, sp_gradient or the registered
+        # evaluators: the same operations in the same order give the same bits
+        spec = parse_config(bundled_config_text(config), source=config).experiment
+        problem = spec.problem
+        schedule = spec.schedule_bern if dist is BERNOULLI else spec.schedule_su
+        loss, k_max = PLAIN_LOSSES[problem.loss.name], 300
+        run = spsa_run(problem, schedule, dist, k_max, np.random.default_rng(13))
+        u = np.random.default_rng(13).random((k_max, 3))
+        deltas = dist.deltas_from_uniforms(u[:, :2]).tolist()
+        normals = core.standard_normal_from_uniform(u[:, 2]).tolist()
+        scale = math.sqrt(2.0 * problem.sigma2)
+        t1, t2 = problem.theta0
+        expected = [(t1, t2)]
+        for k, (d1, d2) in enumerate(deltas):
+            c_k, a_k = schedule.gain_c(k), schedule.gain_a(k)
+            s1, s2 = c_k * d1, c_k * d2
+            diff = loss(t1 + s1, t2 + s2) + scale * normals[k]
+            diff -= loss(t1 - s1, t2 - s2)
+            t1, t2 = t1 - a_k * (diff / (2.0 * s1)), t2 - a_k * (diff / (2.0 * s2))
+            expected.append((t1, t2))
+        assert not run.diverged and run.n_loss_evals == 2 * k_max
+        assert run.trajectory.tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("at", (0, 3))
+    @pytest.mark.parametrize("component", (0, 1))
+    @pytest.mark.parametrize("value", ("nan", "-inf"))
+    def test_divergence_in_either_component(self, value, component, at):
+        # a subnormal component of delta makes that component's gradient
+        # estimate overflow to +inf while the other stays finite; a zero step
+        # gain turns it into 0 * inf = nan in the next iterate, a positive one
+        # into -inf
+        tiny = [1.0, 1.0]
+        tiny[component] = 1e-310
+        law = FixedDelta(*[(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0)][:at], tiny)
+        schedule = GainSchedule(a=0.0 if value == "nan" else 0.1, c=0.2)
+        calls = 0
+
+        def counting_eval(theta):
+            nonlocal calls
+            calls += 1
+            return get_loss("quadratic_4_1").evaluator(theta)
+
+        loss = LossFunction(name="tmp_counting", evaluator=counting_eval, dimension=2)
+        problem = ProblemConfig(p=2, loss=loss, theta_star=(0, 0), sigma2=0.0, theta0=(1, 1))
+        run = spsa_run(problem, schedule, law, 6, np.random.default_rng(8))
+        assert run.diverged and run.diverged_at == at
+        assert calls == run.n_loss_evals == 2 * (at + 1)
+        assert np.isfinite(run.trajectory[: at + 1]).all()
+        assert np.isnan(run.trajectory[at + 1 :]).all()
+        # the step the run refused, retaken through the checked sp_gradient
+        # (sigma2 = 0, so the noise difference is 0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad = sp_gradient(problem, run.trajectory[at], schedule.gain_c(at), tiny, 0.0)
+            step = run.trajectory[at] - schedule.gain_a(at) * grad
+        assert str(step[component]) == value and math.isfinite(step[1 - component])
 
     def test_diverged_run_stops_evaluating(self):
         # the quartic overflows to inf - inf = nan; the cliff, which pulls t1
