@@ -42,161 +42,137 @@ class CliConfig:
     out: str | None = None
 
 
-def _reject_unknown(mapping: dict, allowed: tuple[str, ...], path: str, source: str) -> None:
-    unknown = sorted(set(mapping) - set(allowed))
+def _object(value, path: str, allowed: tuple[str, ...]) -> dict:
+    """``value`` as a JSON object whose keys all appear in ``allowed``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path} must be an object")
+    unknown = sorted(set(value) - set(allowed))
     if unknown:
         raise ConfigError(
-            f"{source}: unknown key(s) {', '.join(repr(k) for k in unknown)} at {path} "
+            f"unknown key(s) {', '.join(repr(k) for k in unknown)} at {path} "
             f"(allowed: {', '.join(allowed)})"
         )
-
-
-def _require(mapping: dict, key: str, path: str, source: str):
-    if key not in mapping:
-        raise ConfigError(f"{source}: missing required key '{key}' at {path}")
-    return mapping[key]
-
-
-def _as_mapping(value, path: str, source: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{source}: {path} must be an object")
     return value
 
 
-def _as_number(value, path: str, source: str) -> float:
+def _require(mapping: dict, key: str, path: str):
+    if key not in mapping:
+        raise ConfigError(f"missing required key '{key}' at {path}")
+    return mapping[key]
+
+
+def _as_number(value, path: str) -> float:
     # bool is an int subclass; it is not a number here
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{source}: {path} must be a number")
+        raise ConfigError(f"{path} must be a number")
     try:
         number = float(value)
     except OverflowError:  # an integer literal beyond the float range
         number = math.inf
     # json also accepts NaN, Infinity and float literals that overflow, like 1e999
     if not math.isfinite(number):
-        raise ConfigError(f"{source}: {path} must be finite, got {number}")
+        raise ConfigError(f"{path} must be finite, got {number}")
     return number
 
 
-def _as_int(value, path: str, source: str) -> int:
+def _as_int(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{source}: {path} must be an integer")
+        raise ConfigError(f"{path} must be an integer")
     return value
 
 
-def _as_vector(value, path: str, length: int, source: str) -> tuple[float, ...]:
+def _as_vector(value, path: str, length: int) -> tuple[float, ...]:
     if not isinstance(value, list) or len(value) != length:
-        raise ConfigError(f"{source}: {path} must be an array of {length} numbers")
-    return tuple(_as_number(v, f"{path}[{i}]", source) for i, v in enumerate(value))
+        raise ConfigError(f"{path} must be an array of {length} numbers")
+    return tuple(_as_number(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
-def _parse_schedule(value, path: str, source: str) -> GainSchedule:
-    mapping = _as_mapping(value, path, source)
-    _reject_unknown(mapping, ("a", "c"), path, source)
-    a = _as_number(_require(mapping, "a", path, source), f"{path}.a", source)
-    c = _as_number(_require(mapping, "c", path, source), f"{path}.c", source)
+def _parse_schedule(value, path: str) -> GainSchedule:
+    mapping = _object(value, path, ("a", "c"))
+    a = _as_number(_require(mapping, "a", path), f"{path}.a")
+    c = _as_number(_require(mapping, "c", path), f"{path}.c")
     try:
         return GainSchedule(a=a, c=c)
     except ValueError as exc:
-        raise ConfigError(f"{source}: {path}: {exc}") from None
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+_TOP_LEVEL_KEYS = (
+    "problem",
+    "gains",
+    "k_values",
+    "n_reps",
+    "master_seed",
+    "third_derivative_bound",
+    "out",
+)
+_PROBLEM_KEYS = ("loss", "dimension", "theta_star", "theta0", "sigma2")
 
 
 def parse_config(text: str, source: str = "<config>") -> CliConfig:
-    """Parse and validate a JSON config document."""
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{source}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    mapping = _as_mapping(document, "top level", source)
-    _reject_unknown(
-        mapping,
-        (
-            "problem",
-            "gains",
-            "k_values",
-            "n_reps",
-            "master_seed",
-            "third_derivative_bound",
-            "out",
-        ),
-        "top level",
-        source,
-    )
+    """Parse and validate a JSON config document.
 
-    problem_map = _as_mapping(_require(mapping, "problem", "top level", source), "problem", source)
-    _reject_unknown(
-        problem_map,
-        ("loss", "dimension", "theta_star", "theta0", "sigma2"),
-        "problem",
-        source,
-    )
-    loss_name = _require(problem_map, "loss", "problem", source)
-    if not isinstance(loss_name, str):
-        raise ConfigError(f"{source}: problem.loss must be a string")
+    Every error is a one-line ConfigError, ``<source>: <path> ...``: each
+    check names the path in the document, and ``source`` is added once, here.
+    """
     try:
-        loss = get_loss(loss_name)
-    except ValueError as exc:
-        raise ConfigError(f"{source}: problem.loss: {exc}") from None
-    dimension = _as_int(_require(problem_map, "dimension", "problem", source), "problem.dimension", source)
-    if dimension < 1:
-        raise ConfigError(f"{source}: problem.dimension must be at least 1")
-    theta_star = _as_vector(
-        _require(problem_map, "theta_star", "problem", source), "problem.theta_star", dimension, source
-    )
-    theta0 = _as_vector(
-        _require(problem_map, "theta0", "problem", source), "problem.theta0", dimension, source
-    )
-    sigma2 = _as_number(_require(problem_map, "sigma2", "problem", source), "problem.sigma2", source)
-    try:
-        problem = ProblemConfig(
-            p=dimension,
-            loss=loss,
-            theta_star=theta_star,
-            sigma2=sigma2,
-            theta0=theta0,
+        top = _object(json.loads(text), "top level", _TOP_LEVEL_KEYS)
+        problem_map = _object(_require(top, "problem", "top level"), "problem", _PROBLEM_KEYS)
+        loss_name = _require(problem_map, "loss", "problem")
+        if not isinstance(loss_name, str):
+            raise ConfigError("problem.loss must be a string")
+        try:
+            loss = get_loss(loss_name)
+        except ValueError as exc:
+            raise ConfigError(f"problem.loss: {exc}") from None
+        dimension = _as_int(_require(problem_map, "dimension", "problem"), "problem.dimension")
+        if dimension < 1:
+            raise ConfigError("problem.dimension must be at least 1")
+        theta_star = _as_vector(
+            _require(problem_map, "theta_star", "problem"), "problem.theta_star", dimension
         )
-    except ValueError as exc:
-        raise ConfigError(f"{source}: problem: {exc}") from None
+        theta0 = _as_vector(_require(problem_map, "theta0", "problem"), "problem.theta0", dimension)
+        sigma2 = _as_number(_require(problem_map, "sigma2", "problem"), "problem.sigma2")
+        try:
+            problem = ProblemConfig(
+                p=dimension, loss=loss, theta_star=theta_star, sigma2=sigma2, theta0=theta0
+            )
+        except ValueError as exc:
+            raise ConfigError(f"problem: {exc}") from None
 
-    gains_map = _as_mapping(_require(mapping, "gains", "top level", source), "gains", source)
-    _reject_unknown(gains_map, ("bernoulli", "segmented_uniform"), "gains", source)
-    schedule_bern = _parse_schedule(
-        _require(gains_map, "bernoulli", "gains", source), "gains.bernoulli", source
-    )
-    schedule_su = _parse_schedule(
-        _require(gains_map, "segmented_uniform", "gains", source), "gains.segmented_uniform", source
-    )
+        gains = _object(
+            _require(top, "gains", "top level"), "gains", ("bernoulli", "segmented_uniform")
+        )
+        schedule_bern = _parse_schedule(_require(gains, "bernoulli", "gains"), "gains.bernoulli")
+        schedule_su = _parse_schedule(
+            _require(gains, "segmented_uniform", "gains"), "gains.segmented_uniform"
+        )
 
-    k_values_raw = _require(mapping, "k_values", "top level", source)
-    if not isinstance(k_values_raw, list) or not k_values_raw:
-        raise ConfigError(f"{source}: k_values must be a non-empty array of integers")
-    k_values = tuple(
-        _as_int(v, f"k_values[{i}]", source) for i, v in enumerate(k_values_raw)
-    )
-    n_reps = _as_int(_require(mapping, "n_reps", "top level", source), "n_reps", source)
-    master_seed = _as_int(_require(mapping, "master_seed", "top level", source), "master_seed", source)
-
-    try:
+        k_values = _require(top, "k_values", "top level")
+        if not isinstance(k_values, list) or not k_values:
+            raise ConfigError("k_values must be a non-empty array of integers")
+        # checked in order: each k_values entry, n_reps, master_seed, then the spec
         experiment = ExperimentSpec(
             problem=problem,
             schedule_su=schedule_su,
             schedule_bern=schedule_bern,
-            k_values=k_values,
-            n_reps=n_reps,
-            master_seed=master_seed,
+            k_values=tuple(_as_int(k, f"k_values[{i}]") for i, k in enumerate(k_values)),
+            n_reps=_as_int(_require(top, "n_reps", "top level"), "n_reps"),
+            master_seed=_as_int(_require(top, "master_seed", "top level"), "master_seed"),
         )
-    except ValueError as exc:
-        raise ConfigError(f"{source}: {exc}") from None
 
-    third_derivative_bound = mapping.get("third_derivative_bound")
-    if third_derivative_bound is not None:
-        third_derivative_bound = _as_number(
-            third_derivative_bound, "third_derivative_bound", source
-        )
-        if third_derivative_bound < 0.0:
-            raise ConfigError(f"{source}: third_derivative_bound must be nonnegative")
-    out = mapping.get("out")
-    if out is not None and not (isinstance(out, str) and out):
-        raise ConfigError(f"{source}: out must be a non-empty string path")
+        third_derivative_bound = top.get("third_derivative_bound")
+        if third_derivative_bound is not None:
+            third_derivative_bound = _as_number(third_derivative_bound, "third_derivative_bound")
+            if third_derivative_bound < 0.0:
+                raise ConfigError("third_derivative_bound must be nonnegative")
+        out = top.get("out")
+        if out is not None and not (isinstance(out, str) and out):
+            raise ConfigError("out must be a non-empty string path")
+    except ValueError as exc:  # ConfigError and json.JSONDecodeError are ValueErrors
+        if isinstance(exc, json.JSONDecodeError):
+            exc = f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        raise ConfigError(f"{source}: {exc}") from None
 
     return CliConfig(
         experiment=experiment,

@@ -93,9 +93,8 @@ def uniform_block(
     # advance wraps modulo 2**128, so a negative distance seeks backwards
     gen.bit_generator.advance(offset - position)
     if out is None:
-        out = gen.random(count).reshape(stop - start, words_per_rep)
-    else:
-        gen.random((stop - start, words_per_rep), out=out)
+        out = np.empty((stop - start, words_per_rep))
+    gen.random((stop - start, words_per_rep), out=out)
     memo[key] = (gen, offset + count)
     if len(memo) > _MEMO_SIZE:
         del memo[next(iter(memo))]

@@ -7,7 +7,12 @@ import pytest
 from spsa_dist import cli, core
 from spsa_dist.config import bundled_config_text
 from spsa_dist.core import LossFunction, register_loss
-from spsa_dist.theory import condition_input_from_problem, corollary3_lhs
+from spsa_dist.theory import (
+    condition_input_from_problem,
+    condition_lhs_explicit,
+    corollary3_lhs,
+    u_bound,
+)
 
 
 @pytest.fixture()
@@ -53,6 +58,12 @@ class TestMoments:
         first = capsys.readouterr().out
         cli.main(["moments", "bernoulli", "--draws", "10000", "--seed", "5"])
         assert capsys.readouterr().out == first
+
+    def test_too_few_draws_is_usage_error(self, capsys):
+        assert cli.main(["moments", "bernoulli", "--draws", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --draws must be at least 2\n"
+        assert captured.out == ""
 
     def test_refused_allocation_is_runtime_failure(self, capsys):
         # 10**18 draws need 6.94 EiB, which numpy refuses before allocating
@@ -107,6 +118,34 @@ class TestCheck:
         assert "condition = corollary2" in out
         assert "note = " not in out
 
+    def test_quartic_without_bound_notes_the_remainder(self, capsys, tmp_path):
+        doc = json.loads(bundled_config_text("quartic"))
+        assert cli.main(["check", str(write_doc(tmp_path, doc))]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "condition = theorem1" in lines
+        assert not any(line.startswith(("u_bound", "lhs_conservative")) for line in lines)
+        assert (
+            "note = loss is not quadratic and no third-derivative bound was supplied; the "
+            "order-c0^2 remainder is not included in the evaluated value"
+        ) in lines
+
+    def test_quartic_with_bound_is_corollary1(self, capsys, tmp_path, quartic_spec):
+        doc = json.loads(bundled_config_text("quartic"))
+        doc["third_derivative_bound"] = 24.0
+        assert cli.main(["check", str(write_doc(tmp_path, doc))]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        inp, _ = condition_input_from_problem(
+            quartic_spec.problem,
+            quartic_spec.schedule_su,
+            quartic_spec.schedule_bern,
+            third_derivative_bound=24.0,
+        )
+        bound = u_bound(inp)
+        assert "condition = corollary1" in lines
+        assert f"u_bound = {bound!r}" in lines
+        assert f"lhs_conservative = {condition_lhs_explicit(inp) + bound!r}" in lines
+        assert not any(line.startswith("note") for line in lines)
+
     def test_overflow_exit_code(self, capsys, tmp_path):
         doc = small_run_doc()
         doc["problem"]["theta0"] = [1e200, 1e200]
@@ -122,6 +161,12 @@ class TestCheck:
         captured = capsys.readouterr()
         assert "gradient" in captured.err
         assert "verdict" not in captured.out
+
+    def test_config_error_is_one_line_naming_the_file(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"problem": 1}', encoding="utf-8")
+        assert cli.main(["check", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: problem must be an object\n"
 
     def test_missing_file_is_runtime_failure(self, capsys, tmp_path):
         assert cli.main(["check", str(tmp_path / "absent.json")]) == 2
@@ -257,6 +302,15 @@ class TestReproduce:
         out = capsys.readouterr().out
         assert "1.7891" in out and "1.5255" in out
         assert "0.6500" in out and "0.9122" in out
+
+    def test_seed_override(self, capsys, tmp_path):
+        out_path = tmp_path / "t3.csv"
+        code = cli.main(
+            ["reproduce", "table3", "--reps", "3000", "--seed", "7", "--out", str(out_path)]
+        )
+        assert code == 0
+        assert capsys.readouterr().out.startswith("table3: loss quartic_4_2, seed 7\n")
+        assert "# master_seed = 7\n" in out_path.read_text()
 
     def test_refused_allocation_is_runtime_failure(self, capsys, tmp_path):
         out_path = tmp_path / "t3.csv"

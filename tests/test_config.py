@@ -14,7 +14,7 @@ from spsa_dist.config import (
     load_config,
     parse_config,
 )
-from spsa_dist.core import GainSchedule, ProblemConfig, get_loss
+from spsa_dist.core import GainSchedule, ProblemConfig, get_loss, registered_losses
 from spsa_dist.experiments import ExperimentSpec
 
 
@@ -234,6 +234,116 @@ def _node(doc, path):
     for key in path:
         doc = doc[key]
     return doc
+
+
+DELETE = object()
+
+
+def edited_text(*edits):
+    """The bundled quadratic config as JSON text, with each (key path, value)
+    edit applied; a value of DELETE removes the key."""
+    doc = quadratic_doc()
+    for path, value in edits:
+        parent = _node(doc, path[:-1])
+        if value is DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return json.dumps(doc)
+
+
+# One case per raise site in config.py: a config text and the whole message
+# that follows "test: ". "{registered}" stands for the losses registered when
+# the case runs, since other tests register losses of their own.
+WHOLE_MESSAGES = [
+    pytest.param('{\n"problem": }', "line 2, column 12: Expecting value", id="json_syntax"),
+    pytest.param("[]", "top level must be an object", id="document_not_object"),
+    pytest.param('{"problem": 1}', "problem must be an object", id="section_not_object"),
+    pytest.param(
+        edited_text((("extra",), 1)),
+        "unknown key(s) 'extra' at top level (allowed: problem, gains, k_values, n_reps, "
+        "master_seed, third_derivative_bound, out)",
+        id="unknown_key",
+    ),
+    pytest.param(
+        edited_text((("gains",), DELETE)), "missing required key 'gains' at top level",
+        id="missing_key",
+    ),
+    pytest.param(
+        edited_text((("problem", "loss"), 7)), "problem.loss must be a string",
+        id="loss_not_string",
+    ),
+    pytest.param(
+        edited_text((("problem", "loss"), "mystery")),
+        'problem.loss: unknown loss "mystery" (registered: {registered})',
+        id="unknown_loss",
+    ),
+    pytest.param(
+        edited_text((("problem", "dimension"), 2.0)), "problem.dimension must be an integer",
+        id="not_integer",
+    ),
+    pytest.param(
+        edited_text((("problem", "dimension"), 0)), "problem.dimension must be at least 1",
+        id="dimension_zero",
+    ),
+    pytest.param(
+        edited_text((("problem", "theta0"), [0.3])), "problem.theta0 must be an array of 2 numbers",
+        id="vector_length",
+    ),
+    pytest.param(
+        edited_text((("problem", "sigma2"), "one")), "problem.sigma2 must be a number",
+        id="not_number",
+    ),
+    pytest.param(
+        edited_text((("problem", "theta_star", 1), float("-inf"))),
+        "problem.theta_star[1] must be finite, got -inf",
+        id="not_finite",
+    ),
+    pytest.param(
+        edited_text(
+            (("problem", "dimension"), 3),
+            (("problem", "theta_star"), [0, 0, 0]),
+            (("problem", "theta0"), [1, 1, 1]),
+        ),
+        'problem: loss "quadratic_4_1" has dimension 2, not 3',
+        id="problem_invalid",
+    ),
+    pytest.param(
+        edited_text((("gains", "segmented_uniform", "c"), 0.0)),
+        "gains.segmented_uniform: gain constant c must be finite and positive",
+        id="schedule_invalid",
+    ),
+    pytest.param(
+        edited_text((("k_values",), [])), "k_values must be a non-empty array of integers",
+        id="k_values_empty",
+    ),
+    pytest.param(
+        edited_text((("k_values",), [5, 1])), "k_values must be strictly increasing",
+        id="experiment_invalid",
+    ),
+    pytest.param(
+        edited_text((("third_derivative_bound",), -0.5)),
+        "third_derivative_bound must be nonnegative",
+        id="negative_bound",
+    ),
+    pytest.param(
+        edited_text((("out",), 7)), "out must be a non-empty string path", id="out_not_string"
+    ),
+]
+
+
+@pytest.mark.parametrize("text, message", WHOLE_MESSAGES)
+def test_whole_message_names_the_source_once(text, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config(text, source="test")
+    registered = ", ".join(registered_losses())
+    assert str(info.value) == "test: " + message.format(registered=registered)
+
+
+def test_unknown_bundled_config_rejected():
+    with pytest.raises(ValueError) as info:
+        bundled_config_text("nope")
+    assert str(info.value) == 'no bundled config "nope" (available: quadratic, quartic)'
 
 
 @settings(max_examples=60, deadline=None)

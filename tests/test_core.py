@@ -193,6 +193,9 @@ class TestProblemConfig:
                 p=2, loss=get_loss("quadratic_4_1"), theta_star=(0.0, math.inf), sigma2=0.0,
                 theta0=(0, 0),
             )
+        with pytest.raises(ValueError) as info:
+            ProblemConfig(p=0, loss=get_loss("quadratic_4_1"), theta_star=(), sigma2=0.0, theta0=())
+        assert str(info.value) == "dimension p must be at least 1"
 
 
 class TestStandardNormalFromUniform:
@@ -455,6 +458,25 @@ class TestSpsaRun:
         with pytest.raises(ValueError, match="nonzero"):
             spsa_run(problem, GainSchedule(a=0.1, c=0.2), law, 5, np.random.default_rng(0))
         assert calls == 0
+
+    def test_input_checks(self):
+        rng = np.random.default_rng(0)
+        schedule = GainSchedule(a=0.1, c=0.2)
+        with pytest.raises(ValueError) as info:
+            spsa_run(quadratic_problem(), schedule, BERNOULLI, 0, rng)
+        assert str(info.value) == "k_max must be a positive integer"
+        # one component too many at p = 2
+        with pytest.raises(ValueError) as info:
+            spsa_run(quadratic_problem(), schedule, FixedDelta((1.0, 1.0, 1.0)), 5, rng)
+        assert str(info.value) == "deltas_from_uniforms must keep the shape (5, 2) of its input"
+
+    def test_underflowing_perturbation_gain_raises(self):
+        # c_k = c / (k + 1) ** 0.101 rounds to 0 from k = 956 on
+        schedule = GainSchedule(a=0.1, c=5e-324)
+        assert schedule.gain_c(955) > 0.0 and schedule.gain_c(956) == 0.0
+        with pytest.raises(ValueError) as info:
+            spsa_run(quadratic_problem(), schedule, BERNOULLI, 1000, np.random.default_rng(0))
+        assert str(info.value) == "c_k must be positive"
 
     def test_generator_advances_by_every_word_of_the_run(self):
         # a finished run and a diverged one both take k_max * (p + 1) words

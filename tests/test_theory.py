@@ -113,6 +113,22 @@ class TestConditionInput:
         with pytest.raises(ValueError, match="finite"):
             reference_input(**overrides)
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"p": 0, "grad_at_start": (), "start_offset": ()}, "p must be at least 1"),
+            ({"grad_at_start": (0.3,)}, "grad_at_start and start_offset must have length p"),
+            ({"a0_bernoulli": -0.01}, "step gains must be nonnegative"),
+            ({"c0_su": 0.0}, "perturbation gains must be positive"),
+            ({"sigma2": -1.0}, "sigma2 must be nonnegative"),
+            ({"third_derivative_bound": -24.0}, "third_derivative_bound must be nonnegative"),
+        ],
+    )
+    def test_range_checks(self, overrides, message):
+        with pytest.raises(ValueError) as info:
+            reference_input(**overrides)
+        assert str(info.value) == message
+
 
 class TestConditionValues:
     def test_reference_configuration(self):
@@ -284,6 +300,23 @@ class TestOneStepMse:
         )
         inp, _ = condition_input_from_problem(problem, schedule_su, schedule_bern)
         return inp
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (
+                ((0.3,), (0.3, 0.3), 0.1, 0.1, 1.0),
+                "start_offset and grad_at_start must be 1-D of equal length",
+            ),
+            (((0.3, 0.3), (0.3, 0.3), 0.1, 0.0, 1.0), "c0 must be positive"),
+            (((0.3, 0.3), (0.3, 0.3), 0.1, 0.1, -1.0), "sigma2 must be nonnegative"),
+        ],
+        ids=("shapes", "c0", "sigma2"),
+    )
+    def test_input_checks(self, args, message):
+        with pytest.raises(ValueError) as info:
+            one_step_mse_quadratic(*args, BERNOULLI)
+        assert str(info.value) == message
 
     def test_no_step_returns_start_error(self):
         still = GainSchedule(a=0.0, c=0.1)
