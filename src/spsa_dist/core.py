@@ -197,7 +197,8 @@ class ProblemConfig:
         if not (math.isfinite(self.sigma2) and self.sigma2 >= 0.0):
             raise ValueError("noise variance sigma2 must be finite and nonnegative")
         if self.loss.gradient is not None:
-            norm = float(np.linalg.norm(self.loss.gradient(np.asarray(self.theta_star))))
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows as inf
+                norm = float(np.linalg.norm(self.loss.gradient(np.asarray(self.theta_star))))
             if norm > 1e-9:
                 raise ValueError(
                     f"theta_star is not a stationary point (gradient norm {norm:g})"

@@ -232,13 +232,23 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     :class:`DivergedRunError` naming the smallest diverging replicate, its
     first iteration and law: silent dropping would bias the estimates. Any
     other exception raised in a block stops the other blocks and reaches the
-    caller unchanged.
+    caller unchanged. A law whose c_k underflows to 0 for some k < k_max
+    raises ValueError before anything is allocated.
     """
     # Fixed processing order; also the row order of the output tables.
     laws = (
         (BERNOULLI, streams.BERNOULLI_STREAM, spec.schedule_bern),
         (SEGMENTED_UNIFORM, streams.SEGMENTED_UNIFORM_STREAM, spec.schedule_su),
     )
+    k_max = spec.k_values[-1]
+    for dist, _, schedule in laws:
+        # c is positive, but c_k = c / (k + 1) ** 0.101 underflows to 0 for a
+        # subnormal c, and the step would divide by it
+        underflow = next((k for k in range(k_max) if not schedule.gain_c(k) > 0.0), None)
+        if underflow is not None:
+            raise ValueError(
+                f"{dist.name}: c_k underflows to 0 at k={underflow} (c = {schedule.c!r})"
+            )
     problem = spec.problem
     evaluator = problem.loss.evaluator
     p = problem.p
@@ -246,7 +256,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     noise_scale = math.sqrt(2.0 * problem.sigma2)
     theta_star = np.asarray(problem.theta_star)
     theta0 = np.asarray(problem.theta0)
-    k_max = spec.k_values[-1]
     wanted = {k: index for index, k in enumerate(spec.k_values)}
     n_k = len(wanted)
 

@@ -67,29 +67,11 @@ class MomentSet:
     cross_ratio: float
 
 
-# Moments as exact rationals; floating values are derived from these.
-_EXACT_MOMENTS: dict[str, dict[str, Fraction]] = {
-    "bernoulli": {
-        "mean": Fraction(0),
-        "variance": Fraction(1),
-        "inv_second": Fraction(1),
-        "ratio_second": Fraction(1),
-        "cross_ratio": Fraction(0),
-    },
-    "segmented_uniform": {
-        "mean": Fraction(0),
-        "variance": Fraction(1),
-        "inv_second": Fraction(100, 61),
-        "ratio_second": Fraction(100, 61),
-        "cross_ratio": Fraction(0),
-    },
-}
-
-
 class PerturbationDistribution:
     """A symmetric, unit-variance law for perturbation-vector components."""
 
     name: str = ""
+    _inv_second: Fraction  # E[1/X^2], the one moment in which the laws differ
 
     def deltas_from_uniforms(self, u: np.ndarray) -> np.ndarray:
         """Map each uniform draw in [0, 1) to one component, elementwise.
@@ -105,12 +87,18 @@ class PerturbationDistribution:
         return self.deltas_from_uniforms(rng.random(shape))
 
     def moments(self) -> MomentSet:
-        exact = _EXACT_MOMENTS[self.name]
-        return MomentSet(**{field: float(value) for field, value in exact.items()})
+        return MomentSet(**{field: float(value) for field, value in self.exact_moments().items()})
 
     def exact_moments(self) -> dict[str, Fraction]:
         """The moments of :meth:`moments` as exact rationals."""
-        return dict(_EXACT_MOMENTS[self.name])
+        mean, variance = Fraction(0), Fraction(1)
+        return {
+            "mean": mean,
+            "variance": variance,
+            "inv_second": self._inv_second,
+            "ratio_second": variance * self._inv_second,
+            "cross_ratio": mean,  # times E[1/X]
+        }
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -120,6 +108,7 @@ class Bernoulli(PerturbationDistribution):
     """Two-point law on {-1, +1}, each with probability 1/2."""
 
     name = "bernoulli"
+    _inv_second = Fraction(1)
 
     def deltas_from_uniforms(self, u: np.ndarray) -> np.ndarray:
         # the sign of u - 0.5: -1 below one half, +1 from it on (exact on [0, 1))
@@ -134,6 +123,7 @@ class SegmentedUniform(PerturbationDistribution):
     """
 
     name = "segmented_uniform"
+    _inv_second = Fraction(100, 61)  # 1 / (INNER * OUTER)
     inner = SEGMENT_INNER
     outer = SEGMENT_OUTER
     density_value = _SEGMENT_DENSITY

@@ -20,7 +20,7 @@ conservative envelope for that remainder and the condition
 ``lhs_explicit + U < 0`` is sufficient.
 
 :func:`one_step_mse_quadratic` implements the closed form above directly from
-the moment table, and every condition form here is built from it, so the
+the law's moments, and every condition form here is built from it, so the
 laws' moments enter only through :meth:`PerturbationDistribution.moments`.
 The tests check it against exhaustive enumeration of Bernoulli outcomes and
 the conditions against a hand-expanded form written out with the segmented
@@ -116,6 +116,10 @@ class ConditionInput:
             raise ValueError("step gains must be nonnegative")
         if not (self.c0_su > 0.0 and self.c0_bernoulli > 0.0):
             raise ValueError("perturbation gains must be positive")
+        for name in ("c0_su", "c0_bernoulli"):
+            c0 = getattr(self, name)
+            if c0 * c0 == 0.0:  # the noise term divides by 2 * c0**2
+                raise ValueError(f"{name} = {c0!r} is too small to square in float64")
         if self.sigma2 < 0.0:
             raise ValueError("sigma2 must be nonnegative")
         if self.third_derivative_bound is not None and self.third_derivative_bound < 0.0:
@@ -247,7 +251,7 @@ def one_step_mse_quadratic(
     error component after one step is
     e_i - a0 * (sum_j g_j X_j + (eps+ - eps-)/(2 c0)) / X_i. Independence and
     symmetry of the components, plus independence of the noise, reduce the
-    expectation to the moment table: cross ratios E[X_j / X_i] vanish, squared
+    expectation to the law's moments: cross ratios E[X_j / X_i] vanish, squared
     ratios contribute rho = E[X_j^2 / X_i^2], and the noise contributes
     sigma2 / (2 c0^2) * E[1/X^2] per coordinate.
     """
@@ -257,6 +261,8 @@ def one_step_mse_quadratic(
         raise ValueError("start_offset and grad_at_start must be 1-D of equal length")
     if not (c0 > 0.0):
         raise ValueError("c0 must be positive")
+    if c0 * c0 == 0.0:
+        raise ValueError(f"c0 = {c0!r} is too small to square in float64")
     if sigma2 < 0.0:
         raise ValueError("sigma2 must be nonnegative")
     p = offset.size

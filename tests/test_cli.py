@@ -1,5 +1,7 @@
 import json
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from spsa_dist import cli, core
 from spsa_dist.config import bundled_config_text
 from spsa_dist.core import LossFunction, register_loss
+from spsa_dist.perturbations import from_name
 from spsa_dist.theory import (
     condition_input_from_problem,
     condition_lhs_explicit,
@@ -47,6 +50,34 @@ class TestMoments:
         assert cli.main(["moments", "bernoulli", "--draws", "20000"]) == 0
         out = capsys.readouterr().out
         assert "E[Xi^2/Xj^2]" in out
+
+    @pytest.mark.parametrize("name", ("bernoulli", "segmented_uniform"))
+    def test_whole_output(self, capsys, name):
+        draws, seed = 20000, 7
+        assert cli.main(["moments", name, "--draws", str(draws), "--seed", str(seed)]) == 0
+        dist = from_name(name)
+        rng = np.random.default_rng(seed)
+        x = dist.sample_array(rng, draws)
+        y = dist.sample_array(rng, draws)
+        inv_second = {"bernoulli": Fraction(1), "segmented_uniform": Fraction(100, 61)}[name]
+        rows = (
+            ("E[X]", Fraction(0), x),
+            ("E[Xi/Xj]", Fraction(0), x / y),
+            ("E[Xi^2/Xj^2]", inv_second, (x * x) / (y * y)),
+            ("E[1/X^2]", inv_second, 1.0 / (x * x)),
+        )
+        expected = [
+            f"moments of the {name} perturbation law "
+            f"(Monte Carlo cross-check at {draws} draws, seed {seed})",
+            "moment              exact        value  mc_estimate  mc_std_err",
+        ]
+        for label, exact, sample in rows:
+            se = sample.std(ddof=1) / math.sqrt(draws)
+            expected.append(
+                f"{label:<14} {str(exact):>10} {float(exact):>12.7f} "
+                f"{sample.mean():>12.7f} {se:>11.2e}"
+            )
+        assert capsys.readouterr().out == "\n".join(expected) + "\n"
 
     def test_unknown_name_rejected(self, capsys):
         assert cli.main(["moments", "uniform"]) == 1
@@ -162,6 +193,29 @@ class TestCheck:
         assert "gradient" in captured.err
         assert "verdict" not in captured.out
 
+    def test_overflowing_stationarity_check_is_one_line(self, capsys, tmp_path):
+        doc = json.loads(bundled_config_text("quartic"))
+        doc["problem"]["theta_star"] = [1e200, 1e200]  # finite, but t1**3 overflows
+        path = write_doc(tmp_path, doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["check", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {path}: problem: theta_star is not a stationary point (gradient norm inf)\n"
+        )
+        assert captured.out == ""
+
+    def test_subnormal_c_is_one_line(self, capsys, tmp_path):
+        doc = small_run_doc()
+        doc["gains"]["bernoulli"]["c"] = 1e-320  # c0**2 underflows to 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["check", str(write_doc(tmp_path, doc))]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: c0_bernoulli = 1e-320 is too small to square in float64\n"
+        assert captured.out == ""
+
     def test_config_error_is_one_line_naming_the_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"problem": 1}', encoding="utf-8")
@@ -248,6 +302,19 @@ class TestRun:
         assert cli.main(["run", str(path)]) == 1
         assert "out must be a non-empty string path" in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == [path]
+
+    def test_underflowing_c_k_fails_before_any_replicate(self, capsys, tmp_path):
+        doc = small_run_doc(k_values=(1000,), n_reps=10)
+        doc["problem"]["sigma2"] = 0.0
+        doc["gains"]["bernoulli"]["c"] = 5e-324  # c_k is 0 from k = 956 on
+        out_path = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["run", str(write_doc(tmp_path, doc)), "--out", str(out_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: bernoulli: c_k underflows to 0 at k=956 (c = 5e-324)\n"
+        assert captured.out == ""
+        assert not out_path.exists()
 
     def test_divergence_exit_code(self, capsys, tmp_path):
         doc = json.loads(bundled_config_text("quartic"))

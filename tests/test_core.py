@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -196,6 +197,17 @@ class TestProblemConfig:
         with pytest.raises(ValueError) as info:
             ProblemConfig(p=0, loss=get_loss("quadratic_4_1"), theta_star=(), sigma2=0.0, theta0=())
         assert str(info.value) == "dimension p must be at least 1"
+
+    def test_overflowing_stationarity_check_is_one_error(self):
+        # t1**3 overflows in the quartic's gradient at a finite theta_star
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                ProblemConfig(
+                    p=2, loss=get_loss("quartic_4_2"), theta_star=(1e200, 1e200), sigma2=0.0,
+                    theta0=(0, 0),
+                )
+        assert str(info.value) == "theta_star is not a stationary point (gradient norm inf)"
 
 
 class TestStandardNormalFromUniform:

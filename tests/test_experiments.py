@@ -270,12 +270,16 @@ def test_block_iterations_do_not_refault_their_temporaries(fresh_python):
     # Without the threshold lift in run_experiment, the second quartic run takes
     # about 6000 minor page faults here (one block iteration's temporaries each
     # time). Stepping whole 2^18-row blocks in place of row tiles, the second
-    # quadratic run took 4.4e4.
+    # quadratic run took 4.4e4. The first two cases take about as many faults
+    # without the lift on some machines; with four workers the second quadratic
+    # run took 6-3600 with it and 9984-10837 without it, on one and on two cores.
     code = """
 import resource
 from dataclasses import replace
+from spsa_dist import experiments
 from spsa_dist.config import bundled_config_text, parse_config
 from spsa_dist.experiments import run_experiment
+{setup}
 spec = replace(
     parse_config(bundled_config_text("{config}")).experiment, k_values=({k},), n_reps={n_reps}
 )
@@ -284,9 +288,13 @@ before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 run_experiment(spec)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
-    for config, k, n_reps, bound in (("quartic", 50, 20000, 1000), ("quadratic", 5, 2**19, 10**4)):
-        faults = int(fresh_python(code.format(config=config, k=k, n_reps=n_reps)))
-        assert faults < bound, (config, faults)
+    for config, k, n_reps, setup, bound in (
+        ("quartic", 50, 20000, "", 1000),
+        ("quadratic", 5, 2**19, "", 10**4),
+        ("quadratic", 5, 2**19, "experiments.WORKERS = 4", 6000),
+    ):
+        faults = int(fresh_python(code.format(config=config, k=k, n_reps=n_reps, setup=setup)))
+        assert faults < bound, (config, setup, faults)
 
 
 def traced_peak(function, *args):
@@ -371,6 +379,30 @@ class TestSpecValidation:
 
 
 class TestRunExperiment:
+    @pytest.mark.parametrize(
+        "law, schedule", (("bernoulli", "schedule_bern"), ("segmented_uniform", "schedule_su"))
+    )
+    def test_underflowing_c_k_fails_before_any_loss_evaluation(
+        self, quadratic_spec, law, schedule
+    ):
+        def never(theta):
+            raise AssertionError("the loss was evaluated")
+
+        problem = replace(
+            quadratic_spec.problem, loss=LossFunction(name="never", evaluator=never, dimension=2)
+        )
+        # c_k = 5e-324 / (k + 1) ** 0.101 rounds to 0 from k = 956 on
+        spec = small_spec(
+            quadratic_spec, k_values=(1000,), n_reps=10, problem=problem,
+            **{schedule: GainSchedule(a=0.1, c=5e-324)},
+        )
+        with pytest.raises(ValueError) as info:
+            run_experiment(spec)
+        assert str(info.value) == f"{law}: c_k underflows to 0 at k=956 (c = 5e-324)"
+        # up to k_max = 956, c_k stays positive
+        with pytest.raises(AssertionError, match="the loss was evaluated"):
+            run_experiment(replace(spec, k_values=(956,)))
+
     def test_zero_step_size(self, quadratic_spec):
         frozen = GainSchedule(a=0.0, c=0.1)
         spec = small_spec(

@@ -10,10 +10,37 @@ from spsa_dist.perturbations import (
     SEGMENTED_UNIFORM,
     SEGMENT_INNER,
     SEGMENT_OUTER,
+    MomentSet,
     from_name,
 )
 
 BOTH = (BERNOULLI, SEGMENTED_UNIFORM)
+
+# every exact moment of each law, written out in full and in key order
+EXACT_MOMENTS = {
+    "bernoulli": {
+        "mean": Fraction(0),
+        "variance": Fraction(1),
+        "inv_second": Fraction(1),
+        "ratio_second": Fraction(1),
+        "cross_ratio": Fraction(0),
+    },
+    "segmented_uniform": {
+        "mean": Fraction(0),
+        "variance": Fraction(1),
+        "inv_second": Fraction(100, 61),
+        "ratio_second": Fraction(100, 61),
+        "cross_ratio": Fraction(0),
+    },
+}
+MOMENTS = {
+    "bernoulli": MomentSet(
+        mean=0.0, variance=1.0, inv_second=1.0, ratio_second=1.0, cross_ratio=0.0
+    ),
+    "segmented_uniform": MomentSet(
+        mean=0.0, variance=1.0, inv_second=100 / 61, ratio_second=100 / 61, cross_ratio=0.0
+    ),
+}
 
 
 def test_endpoints_match_closed_form():
@@ -95,6 +122,17 @@ def test_analytic_moments_exact_values():
     assert SEGMENTED_UNIFORM.exact_moments()["inv_second"] == Fraction(100, 61)
     # closed-form product of the endpoints backs the rational value
     assert SEGMENT_INNER * SEGMENT_OUTER == pytest.approx(61.0 / 100.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("dist", BOTH, ids=lambda d: d.name)
+def test_moments_written_out(dist):
+    exact = dist.exact_moments()
+    assert list(exact.items()) == list(EXACT_MOMENTS[dist.name].items())
+    assert all(type(value) is Fraction for value in exact.values())
+    assert dist.moments() == MOMENTS[dist.name]
+    # each call returns a fresh dict
+    exact["mean"] = Fraction(5)
+    assert dist.exact_moments()["mean"] == 0
 
 
 def test_inverse_cdf_exact_points():

@@ -122,6 +122,9 @@ class TestConditionInput:
             ({"c0_su": 0.0}, "perturbation gains must be positive"),
             ({"sigma2": -1.0}, "sigma2 must be nonnegative"),
             ({"third_derivative_bound": -24.0}, "third_derivative_bound must be nonnegative"),
+            # positive, but its square underflows: check_remark2 divides by it
+            ({"c0_bernoulli": 1e-170}, "c0_bernoulli = 1e-170 is too small to square in float64"),
+            ({"c0_su": 5e-324}, "c0_su = 5e-324 is too small to square in float64"),
         ],
     )
     def test_range_checks(self, overrides, message):
@@ -309,9 +312,13 @@ class TestOneStepMse:
                 "start_offset and grad_at_start must be 1-D of equal length",
             ),
             (((0.3, 0.3), (0.3, 0.3), 0.1, 0.0, 1.0), "c0 must be positive"),
+            (
+                ((0.3, 0.3), (0.3, 0.3), 0.1, 1e-320, 1.0),
+                "c0 = 1e-320 is too small to square in float64",
+            ),
             (((0.3, 0.3), (0.3, 0.3), 0.1, 0.1, -1.0), "sigma2 must be nonnegative"),
         ],
-        ids=("shapes", "c0", "sigma2"),
+        ids=("shapes", "c0", "c0_squared_underflows", "sigma2"),
     )
     def test_input_checks(self, args, message):
         with pytest.raises(ValueError) as info:
