@@ -22,14 +22,18 @@ keeps random streams seekable for the replicated experiment harness. Runs are
 pure functions of (configuration, seed).
 
 A perturbation law is any object with an elementwise map
-``deltas_from_uniforms(u)`` from uniforms to components. The step arithmetic
-is one unchecked kernel: :func:`sp_gradient` checks its inputs at every call,
-:func:`spsa_run` and the experiment harness once.
+``deltas_from_uniforms(u)`` from uniforms to components. The batched step
+arithmetic is one unchecked kernel: :func:`sp_gradient` checks its inputs at
+every call and the experiment harness once. :func:`spsa_run` checks its
+inputs once and then steps one row of Python floats with the kernel's
+operations in the kernel's order, so its iterates have the same bits as steps
+through :func:`sp_gradient` without paying numpy's dispatch per operation.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -126,8 +130,10 @@ def registered_losses() -> tuple[str, ...]:
 
 def _quadratic_eval(theta: np.ndarray) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
-    # [()] makes one point's components float64 scalars (no ufunc dispatch)
-    t1, t2 = theta[..., 0][()], theta[..., 1][()]
+    if theta.ndim == 1:  # one point: Python floats, the same IEEE operations, no ufunc dispatch
+        t1, t2 = theta.tolist()
+        return np.float64(t1 * t1 - t1 * t2 + t2 * t2)
+    t1, t2 = theta[..., 0], theta[..., 1]
     return t1 * t1 - t1 * t2 + t2 * t2
 
 
@@ -139,7 +145,10 @@ def _quadratic_grad(theta: np.ndarray) -> np.ndarray:
 
 def _quartic_eval(theta: np.ndarray) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
-    t1, t2 = theta[..., 0][()], theta[..., 1][()]
+    if theta.ndim == 1:
+        t1, t2 = theta.tolist()
+        return np.float64((t1 * t1) * (t1 * t1) + t1 * t1 + t1 * t2 + t2 * t2)
+    t1, t2 = theta[..., 0], theta[..., 1]
     sq = t1 * t1  # t1**4 as sq * sq: libm pow on strided views is ~10x slower
     return sq * sq + sq + t1 * t2 + t2 * t2
 
@@ -253,7 +262,8 @@ def sp_gradient(problem: ProblemConfig, theta, c_k: float, delta, noise) -> np.n
 
     ``theta`` and ``delta`` have shape (..., p) and ``noise`` shape (...), so
     a block of replicates steps in one call; row r of the result equals the
-    call on row r alone, bit for bit.
+    call on row r alone, bit for bit. A shift c_k*delta_i that rounds to 0
+    raises ValueError.
     """
     theta = np.asarray(theta, dtype=float)
     delta = np.asarray(delta, dtype=float)
@@ -262,7 +272,10 @@ def sp_gradient(problem: ProblemConfig, theta, c_k: float, delta, noise) -> np.n
     if not (c_k > 0.0):
         raise ValueError("c_k must be positive")
     _check_nonzero(delta)
-    return _sp_step(problem.loss.evaluator, theta, c_k * delta, noise)
+    shift = c_k * delta
+    if not shift.all():
+        raise ValueError("c_k * delta rounds to 0")
+    return _sp_step(problem.loss.evaluator, theta, shift, noise)
 
 
 @dataclass
@@ -296,8 +309,11 @@ def spsa_run(
     in one ``rng.random((k_max, p + 1))`` call, so a run that diverges leaves
     ``rng`` where a finished one does. ``dist`` only needs a
     ``deltas_from_uniforms(u)`` method, which maps a (k_max, p) array of
-    uniforms elementwise to perturbation components; a zero component raises
-    ValueError before any loss evaluation.
+    uniforms elementwise to perturbation components. A zero component, a c_k
+    that underflows to 0 and a shift c_k * delta_i that rounds to 0 (named by
+    its first k) each raise ValueError before any loss evaluation.
+    Each step runs on Python floats; the loss sees a new (p,) array and its
+    value is taken with ``float``.
     """
     if k_max < 1:
         raise ValueError("k_max must be a positive integer")
@@ -311,19 +327,26 @@ def spsa_run(
     if not gains_c.min() > 0.0:  # a tiny c underflows at large k
         raise ValueError("c_k must be positive")
     shifts = gains_c[:, None] * deltas
+    zero_rows = np.flatnonzero(~shifts.all(axis=1))
+    if zero_rows.size:
+        raise ValueError(f"c_k * delta rounds to 0 at k = {zero_rows[0]}")
     noise = (math.sqrt(2.0 * problem.sigma2) * standard_normal_from_uniform(u[:, p])).tolist()
     gains_a = [schedule.gain_a(k) for k in range(k_max)]
     evaluator = problem.loss.evaluator
-    trajectory = np.full((k_max + 1, p), np.nan)
-    trajectory[0] = problem.theta0
-    steps = zip(trajectory, trajectory[1:], shifts, noise, gains_a)
+    # _sp_step's operations in its order, on one row of Python floats
+    theta = list(problem.theta0)
+    rows = [theta]
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, (theta, next_theta, shift, noise_k, a_k) in enumerate(steps):
-            _sp_step(evaluator, theta, shift, noise_k, a_k, next_theta)
-            if not all(map(math.isfinite, next_theta.tolist())):
-                next_theta[:] = np.nan
+        for k, (shift, noise_k, a_k) in enumerate(zip(shifts.tolist(), noise, gains_a)):
+            diff = float(evaluator(np.array(list(map(operator.add, theta, shift))))) + noise_k
+            diff -= float(evaluator(np.array(list(map(operator.sub, theta, shift)))))
+            theta = [t - diff / (s * 2.0) * a_k for t, s in zip(theta, shift)]
+            if not all(map(math.isfinite, theta)):
+                trajectory = np.full((k_max + 1, p), np.nan)
+                trajectory[: k + 1] = rows
                 return SpsaRun(trajectory, 2 * (k + 1), diverged=True, diverged_at=k)
-    return SpsaRun(trajectory, 2 * k_max)
+            rows.append(theta)
+    return SpsaRun(np.array(rows), 2 * k_max)
 
 
 def finite_difference_gradient(evaluator, theta, step: float = 1e-5) -> np.ndarray:

@@ -71,6 +71,14 @@ _REMAINDER_NOTE = (
 )
 
 
+def _square_or_inf(x: float) -> float:
+    """``x**2``, or inf where the square overflows (a float ``**`` raises then)."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class ConditionInput:
     """Everything the one-step comparison depends on.
@@ -232,7 +240,7 @@ def check_remark2(inp: ConditionInput) -> Remark2Checks:
     ratio_c_ok = inp.c0_bernoulli / inp.c0_su < c_threshold
     drift = float(np.asarray(inp.start_offset) @ np.asarray(inp.grad_at_start))
     flatness_ok = 2.0 * drift < p * inp.sigma2 * (inp.a0_su + inp.a0_bernoulli) / (
-        2.0 * inp.c0_bernoulli**2
+        2.0 * _square_or_inf(inp.c0_bernoulli)
     )
     return Remark2Checks(ratio_a_ok=ratio_a_ok, ratio_c_ok=ratio_c_ok, flatness_ok=flatness_ok)
 
@@ -273,7 +281,7 @@ def one_step_mse_quadratic(
         float(offset @ offset)
         - 2.0 * a0 * drift
         + a0**2 * grad_sq * (1.0 + moments.ratio_second * (p - 1))
-        + a0**2 * p * sigma2 * moments.inv_second / (2.0 * c0**2)
+        + a0**2 * p * sigma2 * moments.inv_second / (2.0 * _square_or_inf(c0))
     )
 
 

@@ -216,6 +216,19 @@ class TestCheck:
         assert captured.err == "error: c0_bernoulli = 1e-320 is too small to square in float64\n"
         assert captured.out == ""
 
+    def test_huge_c_gives_a_verdict(self, capsys, tmp_path):
+        doc = small_run_doc()
+        doc["gains"]["bernoulli"]["c"] = 1e200  # c0**2 overflows; the noise term tends to 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["check", str(write_doc(tmp_path, doc))]) == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert "lhs_explicit = 0.004246052176139908" in lines
+        assert "verdict = bernoulli_favored_or_inconclusive" in lines
+        assert "flatness_ok = false" in lines
+        assert captured.err == ""
+
     def test_config_error_is_one_line_naming_the_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"problem": 1}', encoding="utf-8")

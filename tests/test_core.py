@@ -41,6 +41,17 @@ PLAIN_LOSSES = {
 }
 
 
+def numpy_p3_problem():
+    """A user loss at p = 3 written with numpy ops; one point gives a 0-d array."""
+
+    def weighted_sphere(theta):
+        theta = np.asarray(theta, dtype=float)
+        return np.asarray(np.sum((theta - 0.5) ** 2 * np.array([1.0, 2.0, 3.0]), axis=-1))
+
+    loss = LossFunction(name="tmp_weighted_sphere", evaluator=weighted_sphere, dimension=3)
+    return ProblemConfig(p=3, loss=loss, theta_star=(0.5,) * 3, sigma2=1.0, theta0=(1, -1, 0.3))
+
+
 class FixedDelta:
     """Deterministic stand-in law for forced-perturbation tests.
 
@@ -128,9 +139,16 @@ class TestBundledEvaluators:
     def test_one_point_gives_a_float64_scalar_equal_to_its_batch_row(self, name):
         evaluator = get_loss(name).evaluator
         batch = np.random.default_rng(31).uniform(-3.0, 3.0, size=(64, 2))
-        for row, value in zip(batch, evaluator(batch)):
+        # rows that overflow or carry nan and inf: the batch warns, one point must not
+        special = [(1e200, 1e200), (math.nan, 0.3), (math.inf, -math.inf)]
+        batch = np.concatenate([batch, special])
+        with np.errstate(all="ignore"):
+            values = evaluator(batch)
+        for row, value in zip(batch, values):
             for point in (row, row.tolist()):
-                result = evaluator(point)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    result = evaluator(point)
                 assert type(result) is np.float64
                 assert result.tobytes() == value.tobytes()
             assert value.tobytes() == np.float64(PLAIN_LOSSES[name](*row.tolist())).tobytes()
@@ -277,6 +295,13 @@ class TestSpGradient:
             got = sp_gradient(viewing, rows, 0.1, deltas, noise)
             assert got.tobytes() == sp_gradient(copying, rows, 0.1, deltas, noise).tobytes()
             assert got == pytest.approx(deltas[..., :1] / deltas, rel=1e-9)
+        schedule = GainSchedule(a=0.01, c=0.1)
+        runs = [
+            spsa_run(problem, schedule, SEGMENTED_UNIFORM, 50, np.random.default_rng(6))
+            for problem in (viewing, copying)
+        ]
+        assert not runs[0].diverged
+        assert runs[0].trajectory.tobytes() == runs[1].trajectory.tobytes()
 
 
 class TestSpsaRun:
@@ -340,16 +365,20 @@ class TestSpsaRun:
         assert run.n_loss_evals == 14
 
     @pytest.mark.parametrize("dist", (BERNOULLI, SEGMENTED_UNIFORM), ids=lambda d: d.name)
-    @pytest.mark.parametrize("config", ("quadratic", "quartic"))
+    @pytest.mark.parametrize("config", ("quadratic", "quartic", "numpy_p3"))
     def test_single_stream_reconstruction(self, config, dist):
         # per iteration: one uniform for each of the p components, then the
         # one uniform behind the N(0, 2 sigma2) noise difference, all from the
         # one generator; each step here takes its own p + 1 words and goes
         # through the public, checked sp_gradient, while the run draws all
         # its words up front
-        spec = parse_config(bundled_config_text(config), source=config).experiment
-        problem = spec.problem
-        schedule = spec.schedule_bern if dist is BERNOULLI else spec.schedule_su
+        if config == "numpy_p3":
+            problem, schedule = numpy_p3_problem(), GainSchedule(a=0.05, c=0.1)
+            assert problem.loss.evaluator(np.zeros(3)).shape == ()
+        else:
+            spec = parse_config(bundled_config_text(config), source=config).experiment
+            problem = spec.problem
+            schedule = spec.schedule_bern if dist is BERNOULLI else spec.schedule_su
         k_max, p = 300, problem.p
         run = spsa_run(problem, schedule, dist, k_max, np.random.default_rng(11))
         rng = np.random.default_rng(11)
@@ -469,6 +498,32 @@ class TestSpsaRun:
         law = FixedDelta((1.0, 1.0), (1.0, -1.0), (1.0, -0.0))
         with pytest.raises(ValueError, match="nonzero"):
             spsa_run(problem, GainSchedule(a=0.1, c=0.2), law, 5, np.random.default_rng(0))
+        assert calls == 0
+
+    def test_shift_rounding_to_zero_raises_before_any_evaluation(self):
+        # c_k * delta_i = 1e-30 * 1e-300 rounds to 0, which the gradient
+        # estimate would divide by
+        calls = 0
+
+        def counting_eval(theta):
+            nonlocal calls
+            calls += 1
+            return get_loss("quadratic_4_1").evaluator(theta)
+
+        loss = LossFunction(name="tmp_counting_shift", evaluator=counting_eval, dimension=2)
+        problem = ProblemConfig(p=2, loss=loss, theta_star=(0, 0), sigma2=1.0, theta0=(1, 1))
+        law = FixedDelta((1.0, 1.0), (1.0, -1.0), (1.0, -1e-300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError) as info:
+                spsa_run(problem, GainSchedule(a=0.1, c=1e-30), law, 5, np.random.default_rng(0))
+            assert str(info.value) == "c_k * delta rounds to 0 at k = 2"
+            with pytest.raises(ValueError) as info:
+                sp_gradient(problem, (0.3, 0.3), 1e-300, (1e-30, 1.0), 0.0)
+            assert str(info.value) == "c_k * delta rounds to 0"
+            rows = ((0.3, 0.3),) * 2
+            with pytest.raises(ValueError, match="rounds to 0"):
+                sp_gradient(problem, rows, 1e-300, ((1.0, 1.0), (1.0, -1e-30)), np.zeros(2))
         assert calls == 0
 
     def test_input_checks(self):

@@ -426,6 +426,23 @@ class TestEvaluateCondition:
         with pytest.raises(ValueError, match="overflow"):
             evaluate_condition(reference_input(**overrides), quadratic=quadratic)
 
+    def test_huge_c0_drops_the_noise_term(self):
+        # c0**2 overflows, but the noise term a0^2 p sigma2 m / (2 c0^2) only
+        # tends to 0: the value is the Bernoulli MSE without noise
+        inp = reference_input(c0_bernoulli=1e200)
+        report = evaluate_condition(inp, quadratic=True)
+        mse_su = one_step_mse_quadratic(
+            inp.start_offset, inp.grad_at_start, inp.a0_su, inp.c0_su, inp.sigma2,
+            SEGMENTED_UNIFORM,
+        )
+        noiseless_b = one_step_mse_quadratic(
+            inp.start_offset, inp.grad_at_start, inp.a0_bernoulli, 1.0, 0.0, BERNOULLI
+        )
+        assert report.lhs_explicit == mse_su - noiseless_b
+        assert report.verdict == BERNOULLI_FAVORED_OR_INCONCLUSIVE
+        checks = check_remark2(inp)
+        assert checks.ratio_a_ok and not checks.ratio_c_ok and not checks.flatness_ok
+
     def test_text_rendering(self):
         report = evaluate_condition(reference_input(), quadratic=True)
         text = report.to_text()
