@@ -275,6 +275,8 @@ def sp_gradient(problem: ProblemConfig, theta, c_k: float, delta, noise) -> np.n
     shift = c_k * delta
     if not shift.all():
         raise ValueError("c_k * delta rounds to 0")
+    # y+ + noise - y- in float64, as in spsa_run, also for a float32 loss
+    noise = np.asarray(noise, dtype=float)
     return _sp_step(problem.loss.evaluator, theta, shift, noise)
 
 

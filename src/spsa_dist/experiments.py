@@ -232,8 +232,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     :class:`DivergedRunError` naming the smallest diverging replicate, its
     first iteration and law: silent dropping would bias the estimates. Any
     other exception raised in a block stops the other blocks and reaches the
-    caller unchanged. A law whose c_k underflows to 0 for some k < k_max
-    raises ValueError before anything is allocated.
+    caller unchanged. A law whose shift c_k * delta can round to 0 for some
+    k < k_max raises ValueError before anything is allocated.
     """
     # Fixed processing order; also the row order of the output tables.
     laws = (
@@ -242,13 +242,14 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     )
     k_max = spec.k_values[-1]
     for dist, _, schedule in laws:
-        # c is positive, but c_k = c / (k + 1) ** 0.101 underflows to 0 for a
-        # subnormal c, and the step would divide by it
-        underflow = next((k for k in range(k_max) if not schedule.gain_c(k) > 0.0), None)
-        if underflow is not None:
-            raise ValueError(
-                f"{dist.name}: c_k underflows to 0 at k={underflow} (c = {schedule.c!r})"
-            )
+        # c is positive, but for a subnormal c the shift c_k * delta can round to
+        # 0, and the step would divide by it. Rounding is monotone, so every
+        # shift is at least c_k times the law's smallest |delta|, its quantile at 1/2
+        smallest = float(dist.deltas_from_uniforms(0.5))
+        zero = next((k for k in range(k_max) if not schedule.gain_c(k) * smallest > 0.0), None)
+        if zero is not None:
+            what = "c_k underflows" if not schedule.gain_c(zero) > 0.0 else "c_k * delta rounds"
+            raise ValueError(f"{dist.name}: {what} to 0 at k={zero} (c = {schedule.c!r})")
     problem = spec.problem
     evaluator = problem.loss.evaluator
     p = problem.p

@@ -126,7 +126,6 @@ class SegmentedUniform(PerturbationDistribution):
     _inv_second = Fraction(100, 61)  # 1 / (INNER * OUTER)
     inner = SEGMENT_INNER
     outer = SEGMENT_OUTER
-    density_value = _SEGMENT_DENSITY
 
     def deltas_from_uniforms(self, u: np.ndarray) -> np.ndarray:
         centred = np.subtract(u, 0.5)
@@ -140,27 +139,14 @@ class SegmentedUniform(PerturbationDistribution):
     def density(self, x):
         """Density of the law; zero on [-INNER, INNER] and outside the support."""
         ax = np.abs(np.asarray(x, dtype=float))
-        value = np.where((ax > self.inner) & (ax < self.outer), self.density_value, 0.0)
+        value = np.where((ax > self.inner) & (ax < self.outer), _SEGMENT_DENSITY, 0.0)
         return float(value) if np.ndim(x) == 0 else value
 
     def cdf(self, x):
+        """Distribution function: :meth:`deltas_from_uniforms` run backwards, 1/2 on the gap."""
         x_arr = np.asarray(x, dtype=float)
-        scale = 2.0 * _SEGMENT_WIDTH
-        value = np.select(
-            [
-                x_arr <= -self.outer,
-                x_arr < -self.inner,
-                x_arr < self.inner,
-                x_arr < self.outer,
-            ],
-            [
-                0.0,
-                (x_arr + self.outer) / scale,
-                0.5,
-                0.5 + (x_arr - self.inner) / scale,
-            ],
-            default=1.0,
-        )
+        half = np.clip((np.abs(x_arr) - self.inner) / (2.0 * _SEGMENT_WIDTH), 0.0, 0.5)
+        value = 0.5 + np.copysign(half, x_arr)
         return float(value) if np.ndim(x) == 0 else value
 
     def inverse_cdf(self, u):

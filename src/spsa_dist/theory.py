@@ -71,14 +71,6 @@ _REMAINDER_NOTE = (
 )
 
 
-def _square_or_inf(x: float) -> float:
-    """``x**2``, or inf where the square overflows (a float ``**`` raises then)."""
-    try:
-        return x**2
-    except OverflowError:
-        return math.inf
-
-
 @dataclass(frozen=True)
 class ConditionInput:
     """Everything the one-step comparison depends on.
@@ -126,7 +118,7 @@ class ConditionInput:
             raise ValueError("perturbation gains must be positive")
         for name in ("c0_su", "c0_bernoulli"):
             c0 = getattr(self, name)
-            if c0 * c0 == 0.0:  # the noise term divides by 2 * c0**2
+            if c0 * c0 == 0.0:  # the noise term divides by 2 * (c0 * c0)
                 raise ValueError(f"{name} = {c0!r} is too small to square in float64")
         if self.sigma2 < 0.0:
             raise ValueError("sigma2 must be nonnegative")
@@ -215,9 +207,11 @@ def u_bound(inp: ConditionInput) -> float:
     a0s, a0b = inp.a0_su, inp.a0_bernoulli
     c0s, c0b = inp.c0_su, inp.c0_bernoulli
     abs_offset_sum = float(np.abs(np.asarray(inp.start_offset)).sum())
-    term1 = (4.0 * a0s * c0s**2 + a0b * c0b**2) * m_bound * abs_offset_sum * (p - 1) ** 2
-    term2 = (1.0 / 20.0) * a0s**2 * c0s**4 * m_bound**2 * p**7 * a0s
-    term3 = (1.0 / 3.0) * (a0s**2 * c0s**3 + a0b**2 * c0b**3) * m_bound * p**5 * max_abs_grad
+    sq_s, sq_b = c0s * c0s, c0b * c0b
+    term1 = (4.0 * a0s * sq_s + a0b * sq_b) * m_bound * abs_offset_sum * (p - 1) ** 2
+    term2 = (1.0 / 20.0) * (a0s * a0s) * (sq_s * sq_s) * (m_bound * m_bound) * p**7 * a0s
+    cubes = (a0s * a0s) * (sq_s * c0s) + (a0b * a0b) * (sq_b * c0b)
+    term3 = (1.0 / 3.0) * cubes * m_bound * p**5 * max_abs_grad
     return term1 + term2 + term3
 
 
@@ -240,7 +234,7 @@ def check_remark2(inp: ConditionInput) -> Remark2Checks:
     ratio_c_ok = inp.c0_bernoulli / inp.c0_su < c_threshold
     drift = float(np.asarray(inp.start_offset) @ np.asarray(inp.grad_at_start))
     flatness_ok = 2.0 * drift < p * inp.sigma2 * (inp.a0_su + inp.a0_bernoulli) / (
-        2.0 * _square_or_inf(inp.c0_bernoulli)
+        2.0 * (inp.c0_bernoulli * inp.c0_bernoulli)
     )
     return Remark2Checks(ratio_a_ok=ratio_a_ok, ratio_c_ok=ratio_c_ok, flatness_ok=flatness_ok)
 
@@ -280,8 +274,8 @@ def one_step_mse_quadratic(
     return (
         float(offset @ offset)
         - 2.0 * a0 * drift
-        + a0**2 * grad_sq * (1.0 + moments.ratio_second * (p - 1))
-        + a0**2 * p * sigma2 * moments.inv_second / (2.0 * _square_or_inf(c0))
+        + (a0 * a0) * grad_sq * (1.0 + moments.ratio_second * (p - 1))
+        + (a0 * a0) * p * sigma2 * moments.inv_second / (2.0 * (c0 * c0))
     )
 
 
@@ -335,15 +329,13 @@ def evaluate_condition(
     is exact: Corollary 3 at p = 2, Corollary 2 otherwise. For other losses
     the conservative form (Corollary 1) is used when a third-derivative bound
     is available, and the bare explicit form (Theorem 1), with a caveat, when
-    not. A deciding value that overflows to inf or NaN raises ValueError
-    instead of giving a verdict.
+    not. Powers of the gains are written as products, so an overflow gives
+    inf or NaN instead of raising, and a deciding value that is not finite
+    raises ValueError instead of giving a verdict.
     """
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            lhs_explicit = condition_lhs_explicit(inp)
-            bound = None if quadratic or inp.third_derivative_bound is None else u_bound(inp)
-    except OverflowError:  # a float ** overflowed; the check below raises
-        lhs_explicit, bound = math.inf, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs_explicit = condition_lhs_explicit(inp)
+        bound = None if quadratic or inp.third_derivative_bound is None else u_bound(inp)
     lhs_conservative = None
     note = ""
     if quadratic:

@@ -329,6 +329,21 @@ class TestRun:
         assert captured.out == ""
         assert not out_path.exists()
 
+    def test_shift_rounding_to_zero_fails_before_any_replicate(self, capsys, tmp_path):
+        doc = small_run_doc(k_values=(5,), n_reps=1000)
+        # c_0 = 5e-324 is positive, but c_0 * SEGMENT_INNER rounds to 0
+        doc["gains"]["segmented_uniform"]["c"] = 5e-324
+        out_path = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["run", str(write_doc(tmp_path, doc)), "--out", str(out_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: segmented_uniform: c_k * delta rounds to 0 at k=0 (c = 5e-324)\n"
+        )
+        assert captured.out == ""
+        assert not out_path.exists()
+
     def test_divergence_exit_code(self, capsys, tmp_path):
         doc = json.loads(bundled_config_text("quartic"))
         doc["k_values"] = [25]

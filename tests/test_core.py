@@ -392,6 +392,28 @@ class TestSpsaRun:
         assert not run.diverged and run.n_loss_evals == 2 * k_max
         assert run.trajectory.tobytes() == np.array(expected).tobytes()
 
+    def test_float32_loss_with_python_float_noise(self):
+        # numpy gives a Python float the type of the array it meets, so a
+        # float32 loss plus a float noise would be summed in float32;
+        # sp_gradient sums in float64, as spsa_run does
+        def float32_quadratic(theta):
+            theta = np.asarray(theta, dtype=np.float32)
+            return theta[..., 0] * theta[..., 0] + theta[..., 1] * theta[..., 1]
+
+        loss = LossFunction(name="float32_quadratic", evaluator=float32_quadratic, dimension=2)
+        problem = ProblemConfig(p=2, loss=loss, theta_star=(0, 0), sigma2=1.0, theta0=(0.3, 0.3))
+        schedule, k_max = GainSchedule(a=0.05, c=0.1), 5
+        run = spsa_run(problem, schedule, SEGMENTED_UNIFORM, k_max, np.random.default_rng(3))
+        u = np.random.default_rng(3).random((k_max, 3))
+        expected = [np.array(problem.theta0)]
+        for k in range(k_max):
+            delta = SEGMENTED_UNIFORM.deltas_from_uniforms(u[k, :2])
+            noise = math.sqrt(2.0) * float(core.standard_normal_from_uniform(u[k, 2]))
+            assert type(noise) is float
+            grad = sp_gradient(problem, expected[-1], schedule.gain_c(k), delta, noise)
+            expected.append(expected[-1] - schedule.gain_a(k) * grad)
+        assert run.trajectory.tobytes() == np.array(expected).tobytes()
+
     @pytest.mark.parametrize("dist", (BERNOULLI, SEGMENTED_UNIFORM), ids=lambda d: d.name)
     @pytest.mark.parametrize("config", ("quadratic", "quartic"))
     def test_plain_float_reference(self, config, dist):

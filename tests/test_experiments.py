@@ -391,15 +391,21 @@ class TestRunExperiment:
         problem = replace(
             quadratic_spec.problem, loss=LossFunction(name="never", evaluator=never, dimension=2)
         )
-        # c_k = 5e-324 / (k + 1) ** 0.101 rounds to 0 from k = 956 on
+        if law == "bernoulli":
+            # c_k = 5e-324 / (k + 1) ** 0.101 rounds to 0 from k = 956 on
+            c, what = 5e-324, "c_k underflows"
+        else:
+            # c_k stays positive past k = 10^6, but c_k * SEGMENT_INNER, the
+            # smallest shift, rounds to 0 from k = 956 on
+            c, what = 1.5e-323, "c_k * delta rounds"
         spec = small_spec(
             quadratic_spec, k_values=(1000,), n_reps=10, problem=problem,
-            **{schedule: GainSchedule(a=0.1, c=5e-324)},
+            **{schedule: GainSchedule(a=0.1, c=c)},
         )
         with pytest.raises(ValueError) as info:
             run_experiment(spec)
-        assert str(info.value) == f"{law}: c_k underflows to 0 at k=956 (c = 5e-324)"
-        # up to k_max = 956, c_k stays positive
+        assert str(info.value) == f"{law}: {what} to 0 at k=956 (c = {c!r})"
+        # up to k_max = 956, every shift stays positive
         with pytest.raises(AssertionError, match="the loss was evaluated"):
             run_experiment(replace(spec, k_values=(956,)))
 

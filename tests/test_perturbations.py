@@ -164,6 +164,22 @@ def test_inverse_cdf_round_trip():
     assert np.max(np.abs(back - grid)) <= 1e-12
 
 
+def test_cdf_pinned_points():
+    su = SEGMENTED_UNIFORM
+    points = {
+        -math.inf: 0.0, -su.outer: 0.0, -su.inner: 0.5, -0.0: 0.5, 0.0: 0.5,
+        su.inner: 0.5, su.outer: 1.0, math.inf: 1.0,
+    }
+    for x, value in points.items():
+        assert type(su.cdf(x)) is float and su.cdf(x) == value
+    assert math.isnan(su.cdf(math.nan))
+    # on the positive segment, the same bits as 0.5 + (x - INNER) / (2 * width)
+    x = np.array([0.5, 0.7, 1.0, 1.25, 1.4])
+    width = 3.0 * math.sqrt(13.0) / 10.0
+    assert su.cdf(x).tobytes() == (0.5 + (x - su.inner) / (2.0 * width)).tobytes()
+    assert [su.cdf(v) for v in x.tolist()] == su.cdf(x).tolist()
+
+
 def test_inverse_cdf_monotone_halves():
     su = SEGMENTED_UNIFORM
     lo = su.inverse_cdf(np.linspace(0.0, 0.5 - 1e-12, 200))

@@ -418,13 +418,22 @@ class TestEvaluateCondition:
         "overrides, quadratic",
         [
             ({"grad_at_start": (1e200, 1e200)}, True),  # inf - inf = nan
-            ({"a0_su": 1e200}, True),  # float ** overflows
+            ({"a0_su": 1e200}, True),  # a0 * a0 overflows to inf
             ({"third_derivative_bound": 1e300}, False),  # u_bound overflows
         ],
     )
     def test_overflow_raises_instead_of_verdict(self, overrides, quadratic):
         with pytest.raises(ValueError, match="overflow"):
             evaluate_condition(reference_input(**overrides), quadratic=quadratic)
+
+    def test_overflowing_powers_give_inf_on_direct_calls(self):
+        # the powers are float products, which overflow to inf where ** raises
+        inp = reference_input()
+        mse = one_step_mse_quadratic(
+            inp.start_offset, inp.grad_at_start, 1e200, inp.c0_su, inp.sigma2, SEGMENTED_UNIFORM
+        )
+        assert mse == math.inf
+        assert u_bound(reference_input(third_derivative_bound=1e300)) == math.inf
 
     def test_huge_c0_drops_the_noise_term(self):
         # c0**2 overflows, but the noise term a0^2 p sigma2 m / (2 c0^2) only
