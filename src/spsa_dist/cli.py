@@ -9,7 +9,8 @@ Subcommands:
 * ``run <config> --out <path>``: run the Monte Carlo experiment and write the
   results CSV.
 * ``reproduce <table2|table3>``: run a bundled benchmark config and print the
-  measured MSE table next to the stored reference values.
+  measured MSE table next to the paper's values, which the package stores
+  with their tolerances and replicate groups in ``configs/tables.json``.
 
 Exit codes: 0 success, 1 usage or config error, 2 runtime failure (a
 diverged run, an I/O error, or an allocation the machine refuses).
@@ -27,7 +28,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import theory
-from .config import bundled_config_text, load_config, parse_config
+from .config import bundled_config_text, load_config, parse_config, reference_tables
 from .experiments import DivergedRunError, run_experiment, write_csv
 from .perturbations import from_name
 
@@ -40,35 +41,6 @@ _MOMENT_ROWS = (
     ("E[Xi^2/Xj^2]", "ratio_second", lambda x, y: (x * x) / (y * y)),
     ("E[1/X^2]", "inv_second", lambda x, y: 1.0 / (x * x)),
 )
-
-# Reference MSE values for the two bundled benchmark configurations, used by
-# the reproduce command to flag agreement.
-_REFERENCE_TABLES = {
-    "table2": {
-        "config": "quadratic",
-        "mse": {
-            1: (0.1913, 0.1798),
-            5: (0.2094, 0.1796),
-            10: (0.1890, 0.1786),
-            1000: (0.0421, 0.1403),
-        },
-        "tolerance": 0.005,
-        # replicate counts: the long-horizon row is cheaper at lower precision
-        "groups": ((((1, 5, 10)), 1_000_000), (((1000,)), 10_000)),
-    },
-    "table3": {
-        "config": "quartic",
-        "mse": {
-            1: (1.7891, 1.5255),
-            2: (1.2811, 1.2592),
-            5: (0.6500, 0.9122),
-            1000: (0.0024, 0.0049),
-        },
-        "tolerance": 0.05,
-        "groups": ((((1, 2, 5, 1000)), 100_000),),
-    },
-}
-
 
 class _UsageError(Exception):
     pass
@@ -102,11 +74,12 @@ def _build_parser() -> _Parser:
     run.set_defaults(handler=_cmd_run)
 
     reproduce = sub.add_parser("reproduce", help="run a bundled benchmark and compare to reference values")
-    reproduce.add_argument("table", choices=("table2", "table3"))
+    tables = reference_tables()
+    reproduce.add_argument("table", choices=tables)
     reproduce.add_argument("--reps", type=int, default=None, help="override replicate counts")
     reproduce.add_argument("--seed", type=int, default=None, help="override the master seed")
     reproduce.add_argument("--out", help="output CSV path (default: <table>.csv)")
-    reproduce.set_defaults(handler=_cmd_reproduce)
+    reproduce.set_defaults(handler=_cmd_reproduce, tables=tables)
     return parser
 
 
@@ -156,6 +129,8 @@ def _cmd_check(args) -> int:
 
 def _check_out_path(out: str) -> None:
     """Fail before any replicate runs, as opening ``out`` would after them."""
+    if not out:  # a config's "out" is never empty, so this came from --out
+        raise _UsageError("--out must be a non-empty path")
     if os.path.isdir(out):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
     if not os.path.isdir(os.path.dirname(out) or "."):
@@ -164,7 +139,7 @@ def _check_out_path(out: str) -> None:
 
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
-    out = args.out or cfg.out
+    out = cfg.out if args.out is None else args.out
     if out is None:
         raise _UsageError("no output path: pass --out or set 'out' in the config")
     _check_out_path(out)
@@ -190,12 +165,12 @@ def _format_p(p: float) -> str:
 
 
 def _cmd_reproduce(args) -> int:
-    table = _REFERENCE_TABLES[args.table]
+    table = args.tables[args.table]
     cfg = parse_config(bundled_config_text(table["config"]), source=table["config"])
     base = cfg.experiment
     if args.seed is not None:
         base = replace(base, master_seed=args.seed)
-    out = args.out or f"{args.table}.csv"
+    out = f"{args.table}.csv" if args.out is None else args.out
     _check_out_path(out)
     results = []
     for k_group, default_reps in table["groups"]:
@@ -211,9 +186,7 @@ def _cmd_reproduce(args) -> int:
         f"{'k':>5} {'mse_bern':>10} {'ref_bern':>9} {'mse_su':>10} {'ref_su':>9} "
         f"{'p_value':>9} {'n_reps':>8} {'flags':>14}"
     )
-    all_ks = sorted(table["mse"])
-    for k in all_ks:
-        ref_b, ref_s = table["mse"][k]
+    for k, ref_b, ref_s in table["mse"]:
         est_b = estimates[(k, "bernoulli")]
         est_s = estimates[(k, "segmented_uniform")]
         cmp = comparisons[k]

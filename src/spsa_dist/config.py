@@ -4,7 +4,9 @@ The format mirrors :class:`spsa_dist.experiments.ExperimentSpec`, with gain
 schedules keyed by the distribution names "bernoulli" and
 "segmented_uniform". Unknown keys are rejected everywhere: a silently ignored
 typo in a gain name would invalidate an experiment. Parsing a serialized
-config always yields an identical spec.
+config always yields an identical spec. The data files shipped in
+``configs/``, the bundled configs and the paper's reference tables, are read
+here too.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ __all__ = [
     "load_config",
     "dumps_config",
     "bundled_config_text",
+    "reference_tables",
     "BUNDLED_CONFIGS",
 ]
 
@@ -214,10 +217,22 @@ def dumps_config(config: CliConfig) -> str:
     return json.dumps(document, indent=2) + "\n"
 
 
+def _bundled_text(file_name: str) -> str:
+    return (resources.files("spsa_dist") / "configs" / file_name).read_text(encoding="utf-8")
+
+
 def bundled_config_text(name: str) -> str:
     """Text of a config shipped with the package ("quadratic" or "quartic")."""
     if name not in BUNDLED_CONFIGS:
         raise ValueError(f'no bundled config "{name}" (available: {", ".join(BUNDLED_CONFIGS)})')
-    return (resources.files("spsa_dist") / "configs" / f"{name}.json").read_text(
-        encoding="utf-8"
-    )
+    return _bundled_text(f"{name}.json")
+
+
+def reference_tables() -> dict:
+    """The paper's MSE tables that ``reproduce`` compares with (``configs/tables.json``).
+
+    Trusted package data, read at each call: each table names its bundled config, its
+    flag tolerance, its ``[k_values, n_reps]`` replicate groups and its
+    ``[k, mse_bernoulli, mse_segmented_uniform]`` rows.
+    """
+    return json.loads(_bundled_text("tables.json"))

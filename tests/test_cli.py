@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from spsa_dist import cli, core
-from spsa_dist.config import bundled_config_text
+from spsa_dist.config import BUNDLED_CONFIGS, bundled_config_text, reference_tables
 from spsa_dist.core import LossFunction, register_loss
 from spsa_dist.perturbations import from_name
 from spsa_dist.theory import (
@@ -418,31 +418,75 @@ class TestReproduce:
 
     def test_bad_table_name(self, capsys):
         assert cli.main(["reproduce", "table9"]) == 1
-        assert capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "invalid choice: 'table9'" in err
+        assert "table2" in err and "table3" in err
+
+    def test_reference_tables_written_out(self):
+        # the paper's Tables 2 and 3 (arXiv 1405.0769) as configs/tables.json states
+        # them, rows and groups in order: an edit to the data file fails here
+        tables = reference_tables()
+        assert tables == {
+            "table2": {
+                "config": "quadratic",
+                "tolerance": 0.005,
+                "groups": [[[1, 5, 10], 1_000_000], [[1000], 10_000]],
+                "mse": [
+                    [1, 0.1913, 0.1798],
+                    [5, 0.2094, 0.1796],
+                    [10, 0.1890, 0.1786],
+                    [1000, 0.0421, 0.1403],
+                ],
+            },
+            "table3": {
+                "config": "quartic",
+                "tolerance": 0.05,
+                "groups": [[[1, 2, 5, 1000], 100_000]],
+                "mse": [
+                    [1, 1.7891, 1.5255],
+                    [2, 1.2811, 1.2592],
+                    [5, 0.6500, 0.9122],
+                    [1000, 0.0024, 0.0049],
+                ],
+            },
+        }
+        assert list(tables) == ["table2", "table3"]
+        for table in tables.values():
+            assert table["config"] in BUNDLED_CONFIGS
+            for k, _, _ in table["mse"]:
+                assert sum(k in k_values for k_values, _ in table["groups"]) == 1
 
 
 @pytest.mark.parametrize("command", ("run", "reproduce"))
 @pytest.mark.parametrize(
-    "out, error",
-    (("missing/x.csv", "[Errno 2] No such file or directory"), ("dir", "[Errno 21] Is a directory")),
-    ids=("missing_directory", "directory"),
+    "out, code, error",
+    (
+        ("missing/x.csv", 2, "runtime failure: [Errno 2] No such file or directory: '{}'"),
+        ("dir", 2, "runtime failure: [Errno 21] Is a directory: '{}'"),
+        # neither the config's "out" nor <table>.csv stands in for an empty --out
+        ("", 1, "error: --out must be a non-empty path"),
+    ),
+    ids=("missing_directory", "directory", "empty"),
 )
 def test_unwritable_output_fails_before_any_replicate(
-    command, out, error, capsys, tmp_path, monkeypatch
+    command, out, code, error, capsys, tmp_path, monkeypatch
 ):
     def never(spec):
         raise AssertionError("run_experiment was called")
 
     monkeypatch.setattr(cli, "run_experiment", never)
+    monkeypatch.chdir(tmp_path)
     (tmp_path / "dir").mkdir()
+    doc = small_run_doc()
+    doc["out"] = "from_config.csv"
     args = {
-        "run": ["run", str(write_doc(tmp_path, small_run_doc()))],
+        "run": ["run", str(write_doc(tmp_path, doc))],
         "reproduce": ["reproduce", "table3"],
     }[command]
     before = sorted(tmp_path.rglob("*"))
-    out_path = tmp_path / out
-    assert cli.main(args + ["--out", str(out_path)]) == 2
-    assert capsys.readouterr().err == f"runtime failure: {error}: '{out_path}'\n"
+    out_path = str(tmp_path / out) if out else ""
+    assert cli.main(args + ["--out", out_path]) == code
+    assert capsys.readouterr().err == error.format(out_path) + "\n"
     assert sorted(tmp_path.rglob("*")) == before
 
 

@@ -162,6 +162,44 @@ def harvested_squared_errors(spec, monkeypatch):
     return result, errors
 
 
+def exact_mse(schedule, moments, k_max, sigma2, theta0):
+    """E|theta_k - theta*|^2 for k = 1..k_max on the bundled quadratic (theta* = 0).
+
+    An independent oracle: for a quadratic loss the second moment
+    M_k = E[theta_k theta_k^T] obeys an exact linear recursion, so the expected
+    MSE at every k is computable without simulation.
+    """
+    hessian = np.array([[2.0, -1.0], [-1.0, 2.0]])
+    second_moment = np.outer(theta0, theta0)
+    trace_by_k = {}
+    for k in range(k_max):
+        a_k = schedule.gain_a(k)
+        c_k = schedule.gain_c(k)
+        gram = hessian @ second_moment @ hessian
+        cross = gram.copy()
+        np.fill_diagonal(cross, moments.ratio_second * (np.trace(gram) - np.diag(gram)))
+        contraction = np.eye(2) - a_k * hessian
+        second_moment = (
+            contraction @ second_moment @ contraction
+            + a_k**2 * cross
+            + a_k**2 * sigma2 * moments.inv_second / (2.0 * c_k**2) * np.eye(2)
+        )
+        trace_by_k[k + 1] = float(np.trace(second_moment))
+    return trace_by_k
+
+
+def exact_mse_by_law(spec, k_max):
+    theta0 = np.asarray(spec.problem.theta0)
+    return {
+        "bernoulli": exact_mse(
+            spec.schedule_bern, BERNOULLI.moments(), k_max, spec.problem.sigma2, theta0
+        ),
+        "segmented_uniform": exact_mse(
+            spec.schedule_su, SEGMENTED_UNIFORM.moments(), k_max, spec.problem.sigma2, theta0
+        ),
+    }
+
+
 def diverging_rows(spec, dist, stream_tag, iteration=0):
     """Replicates whose step at ``iteration`` under ``dist`` hits the cliff of
     :func:`cliff_spec`, given that their iterate is still at theta0 = (1, 1).
@@ -774,44 +812,34 @@ class TestRunExperiment:
         assert estimates["bernoulli"].mse < estimates["segmented_uniform"].mse
 
     def test_multi_step_mse_matches_exact_recursion(self, quadratic_spec):
-        # independent oracle: for a quadratic loss the second moment
-        # M_k = E[theta_k theta_k^T] obeys an exact linear recursion, so the
-        # expected MSE at every k is computable without simulation
-        hessian = np.array([[2.0, -1.0], [-1.0, 2.0]])
-
-        def exact_mse(schedule, moments, k_max, sigma2, theta0):
-            second_moment = np.outer(theta0, theta0)
-            trace_by_k = {}
-            for k in range(k_max):
-                a_k = schedule.gain_a(k)
-                c_k = schedule.gain_c(k)
-                gram = hessian @ second_moment @ hessian
-                cross = gram.copy()
-                np.fill_diagonal(
-                    cross, moments.ratio_second * (np.trace(gram) - np.diag(gram))
-                )
-                contraction = np.eye(2) - a_k * hessian
-                second_moment = (
-                    contraction @ second_moment @ contraction
-                    + a_k**2 * cross
-                    + a_k**2 * sigma2 * moments.inv_second / (2.0 * c_k**2) * np.eye(2)
-                )
-                trace_by_k[k + 1] = float(np.trace(second_moment))
-            return trace_by_k
-
         spec = small_spec(quadratic_spec, k_values=(1, 5, 10), n_reps=50_000)
         result = run_experiment(spec)
-        theta0 = np.asarray(spec.problem.theta0)
-        expected = {
-            "bernoulli": exact_mse(
-                spec.schedule_bern, BERNOULLI.moments(), 10, spec.problem.sigma2, theta0
-            ),
-            "segmented_uniform": exact_mse(
-                spec.schedule_su, SEGMENTED_UNIFORM.moments(), 10, spec.problem.sigma2, theta0
-            ),
-        }
+        expected = exact_mse_by_law(spec, 10)
         for est in result.estimates:
             assert abs(est.mse - expected[est.distribution][est.k]) <= 4.0 * est.std_error
+
+    def test_standard_errors_are_calibrated(self, quadratic_spec):
+        # z = (Monte Carlo - exact) / standard error over 300 seeds at three k: a
+        # standard error off by some factor (from rows that share stream words, say)
+        # scales the spread of z by that factor. The sds read 1.03 / 0.99 / 1.03 here
+        # and 1.49 / 1.41 / 1.49 when rows 2j and 2j+1 read the same words. No KS
+        # test: the three k share replicates, and a mean of 2048 skewed squared
+        # errors is not quite normal
+        spec = small_spec(quadratic_spec, k_values=(1, 5, 10), n_reps=2048)
+        expected = exact_mse_by_law(spec, 10)
+        z = {"bernoulli": [], "segmented_uniform": [], "paired": []}
+        for seed in range(300):
+            result = run_experiment(replace(spec, master_seed=seed))
+            for est in result.estimates:
+                exact = expected[est.distribution][est.k]
+                z[est.distribution].append((est.mse - exact) / est.std_error)
+            for cmp in result.comparisons:
+                exact = expected["bernoulli"][cmp.k] - expected["segmented_uniform"][cmp.k]
+                z["paired"].append((cmp.mean_diff - exact) / cmp.std_error)
+        for series, values in z.items():
+            assert len(values) == 900
+            assert 0.85 <= np.std(values, ddof=1) <= 1.2, series
+            assert abs(np.mean(values)) <= 0.2, series
 
 
 class TestCompareWithTheory:

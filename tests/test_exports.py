@@ -18,3 +18,13 @@ def test_all_names_resolve(module_name):
 def test_package_import_leaves_out_scipy_stats(fresh_python):
     code = "import spsa_dist, spsa_dist.cli, sys; print('scipy.stats' in sys.modules)"
     assert fresh_python(code).strip() == "False"
+
+
+def test_package_import_leaves_the_reference_tables_unread(fresh_python):
+    code = (
+        "import sys; opened = []\n"
+        "sys.addaudithook(lambda event, args: event == 'open' and opened.append(str(args[0])))\n"
+        "import spsa_dist, spsa_dist.cli\n"
+        "print(any(path.endswith('tables.json') for path in opened))"
+    )
+    assert fresh_python(code).strip() == "False"
