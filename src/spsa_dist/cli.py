@@ -7,19 +7,20 @@ Subcommands:
 * ``check <config>``: evaluate the one-step MSE comparison condition for a
   config and print the verdict.
 * ``run <config> --out <path>``: run the Monte Carlo experiment and write the
-  results CSV.
+  results CSV to the required ``--out`` path.
 * ``reproduce <table2|table3>``: run a bundled benchmark config and print the
   measured MSE table next to the paper's values, which the package stores
   with their tolerances and replicate groups in ``configs/tables.json``.
 
 Exit codes: 0 success, 1 usage or config error, 2 runtime failure (a
-diverged run, an I/O error, or an allocation the machine refuses).
+diverged run, an I/O error, or an allocation the machine refuses). ``run`` and
+``reproduce`` open their output path before any replicate runs, so a path the
+OS will not open for writing fails at once, with the OS's own message.
 """
 
 from __future__ import annotations
 
 import argparse
-import errno
 import math
 import os
 import sys
@@ -70,7 +71,7 @@ def _build_parser() -> _Parser:
 
     run = sub.add_parser("run", help="run the Monte Carlo experiment from a config")
     run.add_argument("config", help="path to a JSON experiment config")
-    run.add_argument("--out", help="output CSV path (overrides the config's 'out')")
+    run.add_argument("--out", required=True, help="output CSV path")
     run.set_defaults(handler=_cmd_run)
 
     reproduce = sub.add_parser("reproduce", help="run a bundled benchmark and compare to reference values")
@@ -129,22 +130,20 @@ def _cmd_check(args) -> int:
 
 def _check_out_path(out: str) -> None:
     """Fail before any replicate runs, as opening ``out`` would after them."""
-    if not out:  # a config's "out" is never empty, so this came from --out
+    if not out:
         raise _UsageError("--out must be a non-empty path")
-    if os.path.isdir(out):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
-    if not os.path.isdir(os.path.dirname(out) or "."):
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
+    target = os.path.realpath(out)  # through a dangling symlink, the file the open creates
+    created = not os.path.lexists(target)
+    open(out, "ab").close()  # the OS refuses a directory, a missing one, no permission
+    if created:
+        os.remove(target)
 
 
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
-    out = cfg.out if args.out is None else args.out
-    if out is None:
-        raise _UsageError("no output path: pass --out or set 'out' in the config")
-    _check_out_path(out)
+    _check_out_path(args.out)
     result = run_experiment(cfg.experiment)
-    write_csv(result, out)
+    write_csv(result, args.out)
     for est in result.estimates:
         print(f"k={est.k} {est.distribution}: mse={est.mse:.6g} (se={est.std_error:.3g})")
     for cmp in result.comparisons:
@@ -152,7 +151,7 @@ def _cmd_run(args) -> int:
             f"k={cmp.k} paired: mean_diff={cmp.mean_diff:.6g} t={cmp.t_stat:.4g} "
             f"p={_format_p(cmp.p_value)}"
         )
-    print(f"wrote {out}")
+    print(f"wrote {args.out}")
     return 0
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 
@@ -42,7 +43,6 @@ class ConfigError(ValueError):
 class CliConfig:
     experiment: ExperimentSpec
     third_derivative_bound: float | None = None
-    out: str | None = None
 
 
 def _object(value, path: str, allowed: tuple[str, ...]) -> dict:
@@ -56,6 +56,14 @@ def _object(value, path: str, allowed: tuple[str, ...]) -> dict:
             f"(allowed: {', '.join(allowed)})"
         )
     return value
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; json itself keeps only a repeated key's last value."""
+    repeated = sorted(key for key, n in Counter(key for key, _ in pairs).items() if n > 1)
+    if repeated:
+        raise ConfigError(f"duplicate key(s) {', '.join(repr(k) for k in repeated)}")
+    return dict(pairs)
 
 
 def _require(mapping: dict, key: str, path: str):
@@ -107,19 +115,19 @@ _TOP_LEVEL_KEYS = (
     "n_reps",
     "master_seed",
     "third_derivative_bound",
-    "out",
 )
 _PROBLEM_KEYS = ("loss", "dimension", "theta_star", "theta0", "sigma2")
 
 
-def parse_config(text: str, source: str = "<config>") -> CliConfig:
-    """Parse and validate a JSON config document.
+def parse_config(text: str | bytes, source: str = "<config>") -> CliConfig:
+    """Parse and validate a JSON config document (bytes: UTF-8, -16 or -32).
 
     Every error is a one-line ConfigError, ``<source>: <path> ...``: each
     check names the path in the document, and ``source`` is added once, here.
     """
     try:
-        top = _object(json.loads(text), "top level", _TOP_LEVEL_KEYS)
+        document = json.loads(text, object_pairs_hook=_unique_keys)
+        top = _object(document, "top level", _TOP_LEVEL_KEYS)
         problem_map = _object(_require(top, "problem", "top level"), "problem", _PROBLEM_KEYS)
         loss_name = _require(problem_map, "loss", "problem")
         if not isinstance(loss_name, str):
@@ -169,23 +177,16 @@ def parse_config(text: str, source: str = "<config>") -> CliConfig:
             third_derivative_bound = _as_number(third_derivative_bound, "third_derivative_bound")
             if third_derivative_bound < 0.0:
                 raise ConfigError("third_derivative_bound must be nonnegative")
-        out = top.get("out")
-        if out is not None and not (isinstance(out, str) and out):
-            raise ConfigError("out must be a non-empty string path")
-    except ValueError as exc:  # ConfigError and json.JSONDecodeError are ValueErrors
+    except ValueError as exc:  # ConfigError, json.JSONDecodeError, UnicodeDecodeError
         if isinstance(exc, json.JSONDecodeError):
             exc = f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
         raise ConfigError(f"{source}: {exc}") from None
 
-    return CliConfig(
-        experiment=experiment,
-        third_derivative_bound=third_derivative_bound,
-        out=out,
-    )
+    return CliConfig(experiment=experiment, third_derivative_bound=third_derivative_bound)
 
 
 def load_config(path) -> CliConfig:
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb") as handle:  # decoded by json.loads, so a bad byte names the file
         text = handle.read()
     return parse_config(text, source=str(path))
 
@@ -212,8 +213,6 @@ def dumps_config(config: CliConfig) -> str:
     }
     if config.third_derivative_bound is not None:
         document["third_derivative_bound"] = config.third_derivative_bound
-    if config.out is not None:
-        document["out"] = config.out
     return json.dumps(document, indent=2) + "\n"
 
 

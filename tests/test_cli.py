@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import sys
 import warnings
 from fractions import Fraction
 
@@ -234,6 +236,13 @@ class TestCheck:
         path.write_text('{"problem": 1}', encoding="utf-8")
         assert cli.main(["check", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {path}: problem must be an object\n"
+        # so is a byte that is not UTF-8, decoded where the file name is known
+        path.write_bytes(b"\xff" + bundled_config_text("quadratic").encode())
+        assert cli.main(["check", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte\n"
+        )
 
     def test_missing_file_is_runtime_failure(self, capsys, tmp_path):
         assert cli.main(["check", str(tmp_path / "absent.json")]) == 2
@@ -290,30 +299,26 @@ class TestRun:
         assert cli.main(["run", str(path), "--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
 
-    def test_out_from_config(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        doc = small_run_doc(n_reps=100)
-        doc["out"] = "from_config.csv"
-        path = write_doc(tmp_path, doc)
-        assert cli.main(["run", str(path)]) == 0
-        assert (tmp_path / "from_config.csv").exists()
-
     def test_no_out_is_usage_error(self, capsys, tmp_path):
         path = write_doc(tmp_path, small_run_doc(n_reps=100))
         assert cli.main(["run", str(path)]) == 1
-        assert "--out" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: the following arguments are required: --out\n"
 
-    def test_empty_out_in_config_fails_before_any_replicate(self, capsys, tmp_path, monkeypatch):
+    def test_out_key_in_config_is_unknown(self, capsys, tmp_path, monkeypatch):
+        # --out is the one source of the output path; a config's "out" is a typo like any other
         def never(spec):
             raise AssertionError("run_experiment was called")
 
         monkeypatch.setattr(cli, "run_experiment", never)
         monkeypatch.chdir(tmp_path)
         doc = small_run_doc(n_reps=100)
-        doc["out"] = ""
+        doc["out"] = "from_config.csv"
         path = write_doc(tmp_path, doc)
-        assert cli.main(["run", str(path)]) == 1
-        assert "out must be a non-empty string path" in capsys.readouterr().err
+        assert cli.main(["run", str(path), "--out", "x.csv"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: unknown key(s) 'out' at top level (allowed: problem, gains, "
+            "k_values, n_reps, master_seed, third_derivative_bound)\n"
+        )
         assert sorted(tmp_path.iterdir()) == [path]
 
     def test_underflowing_c_k_fails_before_any_replicate(self, capsys, tmp_path):
@@ -457,37 +462,73 @@ class TestReproduce:
                 assert sum(k in k_values for k_values, _ in table["groups"]) == 1
 
 
+skip_as_root = pytest.mark.skipif(
+    not hasattr(os, "geteuid") or os.geteuid() == 0,
+    reason="needs a user whom file permissions bind",
+)
+
+
 @pytest.mark.parametrize("command", ("run", "reproduce"))
 @pytest.mark.parametrize(
     "out, code, error",
     (
-        ("missing/x.csv", 2, "runtime failure: [Errno 2] No such file or directory: '{}'"),
-        ("dir", 2, "runtime failure: [Errno 21] Is a directory: '{}'"),
-        # neither the config's "out" nor <table>.csv stands in for an empty --out
-        ("", 1, "error: --out must be a non-empty path"),
+        pytest.param(
+            "missing/x.csv", 2, "runtime failure: [Errno 2] No such file or directory: '{}'",
+            id="missing_directory",
+        ),
+        pytest.param("dir", 2, "runtime failure: [Errno 21] Is a directory: '{}'", id="directory"),
+        # <table>.csv does not stand in for an empty --out
+        pytest.param("", 1, "error: --out must be a non-empty path", id="empty"),
+        # None: the refusal the OS itself gives this user, which the CLI must repeat
+        pytest.param(
+            "/proc/spsa-dist.csv", 2, None, id="proc",
+            marks=pytest.mark.skipif(sys.platform != "linux", reason="procfs is Linux's"),
+        ),
+        pytest.param(
+            "read_only/x.csv", 2, "runtime failure: [Errno 13] Permission denied: '{}'",
+            id="read_only_directory", marks=skip_as_root,
+        ),
+        pytest.param(
+            "kept_read_only.csv", 2, "runtime failure: [Errno 13] Permission denied: '{}'",
+            id="read_only_file", marks=skip_as_root,
+        ),
+        # the check appends nothing to a file the OS lets it open; the patched run then fails
+        pytest.param("kept.csv", 2, "runtime failure: a replicate ran", id="existing_file"),
+        # the file the check creates through a dangling symlink goes again; the link stays
+        pytest.param("link.csv", 2, "runtime failure: a replicate ran", id="dangling_symlink"),
     ),
-    ids=("missing_directory", "directory", "empty"),
 )
 def test_unwritable_output_fails_before_any_replicate(
     command, out, code, error, capsys, tmp_path, monkeypatch
 ):
     def never(spec):
-        raise AssertionError("run_experiment was called")
+        raise MemoryError("a replicate ran")
 
     monkeypatch.setattr(cli, "run_experiment", never)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "dir").mkdir()
-    doc = small_run_doc()
-    doc["out"] = "from_config.csv"
+    (tmp_path / "read_only").mkdir(mode=0o555)
+    for name in ("kept.csv", "kept_read_only.csv"):
+        (tmp_path / name).write_bytes(b"k,distribution\r\nearlier results\n")
+    (tmp_path / "kept_read_only.csv").chmod(0o444)
+    (tmp_path / "link.csv").symlink_to("linked.csv")
     args = {
-        "run": ["run", str(write_doc(tmp_path, doc))],
+        "run": ["run", str(write_doc(tmp_path, small_run_doc()))],
         "reproduce": ["reproduce", "table3"],
     }[command]
-    before = sorted(tmp_path.rglob("*"))
+
+    def tree():
+        return {p: p.is_file() and p.read_bytes() for p in sorted(tmp_path.rglob("*"))}
+
+    before = tree()
     out_path = str(tmp_path / out) if out else ""
+    if error is None:
+        with pytest.raises(OSError) as refusal:
+            open(out_path, "ab")
+        error = f"runtime failure: {refusal.value}"
     assert cli.main(args + ["--out", out_path]) == code
     assert capsys.readouterr().err == error.format(out_path) + "\n"
-    assert sorted(tmp_path.rglob("*")) == before
+    assert tree() == before
 
 
 class TestUsage:

@@ -35,11 +35,9 @@ def test_bundled_configs_round_trip(name):
 def test_round_trip_preserves_optional_fields():
     doc = quadratic_doc()
     doc["third_derivative_bound"] = 1.5
-    doc["out"] = "results.csv"
     cfg = parse_doc(doc)
     assert parse_config(dumps_config(cfg), source="test") == cfg
     assert cfg.third_derivative_bound == 1.5
-    assert cfg.out == "results.csv"
 
 
 def test_bundled_quadratic_contents():
@@ -162,13 +160,6 @@ def test_semantic_errors():
     doc["third_derivative_bound"] = -0.5
     with pytest.raises(ConfigError, match="third_derivative_bound"):
         parse_doc(doc)
-    doc = quadratic_doc()
-    doc["out"] = 7
-    with pytest.raises(ConfigError, match="out"):
-        parse_doc(doc)
-    doc["out"] = ""
-    with pytest.raises(ConfigError, match="out must be a non-empty string path"):
-        parse_doc(doc)
 
 
 def test_syntax_error_has_line_diagnostic():
@@ -182,6 +173,10 @@ def test_load_config_reads_files(tmp_path):
     cfg = load_config(path)
     assert cfg.experiment.problem.loss.name == "quartic_4_2"
     assert str(path) not in dumps_config(cfg)  # source path is not part of the experiment spec
+    # json decodes the bytes, so a UTF-8 byte-order mark or UTF-16 reads as the same config
+    for encoding in ("utf-8-sig", "utf-16"):
+        path.write_text(bundled_config_text("quartic"), encoding=encoding)
+        assert load_config(path) == cfg
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -208,7 +203,6 @@ valid_configs = st.builds(
         master_seed=st.integers(0, 2**64 - 1),
     ),
     third_derivative_bound=st.none() | nonnegative,
-    out=st.none() | st.text(min_size=1),
 )
 
 # numeric leaves of a config document, as (path in the error, key path)
@@ -223,7 +217,7 @@ NUMERIC_PATHS = [
 
 # objects of a config document, with the keys each allows
 OBJECTS = [
-    ((), ("problem", "gains", "k_values", "n_reps", "master_seed", "third_derivative_bound", "out")),
+    ((), ("problem", "gains", "k_values", "n_reps", "master_seed", "third_derivative_bound")),
     (("problem",), ("loss", "dimension", "theta_star", "theta0", "sigma2")),
     (("gains",), ("bernoulli", "segmented_uniform")),
     (("gains", "bernoulli"), ("a", "c")),
@@ -262,8 +256,18 @@ WHOLE_MESSAGES = [
     pytest.param(
         edited_text((("extra",), 1)),
         "unknown key(s) 'extra' at top level (allowed: problem, gains, k_values, n_reps, "
-        "master_seed, third_derivative_bound, out)",
+        "master_seed, third_derivative_bound)",
         id="unknown_key",
+    ),
+    pytest.param(
+        bundled_config_text("quadratic").replace('"n_reps"', '"n_reps": 5, "n_reps"'),
+        "duplicate key(s) 'n_reps'",
+        id="duplicate_key",
+    ),
+    pytest.param(
+        b"\xff" + bundled_config_text("quadratic").encode(),
+        "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+        id="not_utf8",
     ),
     pytest.param(
         edited_text((("gains",), DELETE)), "missing required key 'gains' at top level",
@@ -325,9 +329,6 @@ WHOLE_MESSAGES = [
         edited_text((("third_derivative_bound",), -0.5)),
         "third_derivative_bound must be nonnegative",
         id="negative_bound",
-    ),
-    pytest.param(
-        edited_text((("out",), 7)), "out must be a non-empty string path", id="out_not_string"
     ),
 ]
 
