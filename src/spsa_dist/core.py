@@ -28,6 +28,8 @@ every call and the experiment harness once. :func:`spsa_run` checks its
 inputs once and then steps one row of Python floats with the kernel's
 operations in the kernel's order, so its iterates have the same bits as steps
 through :func:`sp_gradient` without paying numpy's dispatch per operation.
+Each bundled loss is written once, as a formula on its components that runs
+on Python floats in :func:`spsa_run` and on column views in the evaluator.
 """
 
 from __future__ import annotations
@@ -96,6 +98,10 @@ class LossFunction:
 
     ``evaluator`` maps arrays of shape (..., dimension) to shape (...);
     ``gradient``, when present, maps (..., dimension) to (..., dimension).
+    ``formula``, when present, is the same loss written once on its p
+    components, ``formula(t1, ..., tp)``, with operations that work on Python
+    floats and on numpy arrays alike; :func:`spsa_run` calls it on Python
+    floats and must get the bits ``evaluator`` gives on that point.
     """
 
     name: str
@@ -103,6 +109,7 @@ class LossFunction:
     gradient: Callable[[np.ndarray], np.ndarray] | None = None
     is_quadratic: bool = False
     dimension: int | None = None
+    formula: Callable[..., float] | None = None
 
 
 _LOSSES: dict[str, LossFunction] = {}
@@ -128,12 +135,31 @@ def registered_losses() -> tuple[str, ...]:
     return tuple(sorted(_LOSSES))
 
 
-def _quadratic_eval(theta: np.ndarray) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim == 1:  # one point: Python floats, the same IEEE operations, no ufunc dispatch
-        t1, t2 = theta.tolist()
-        return np.float64(t1 * t1 - t1 * t2 + t2 * t2)
-    t1, t2 = theta[..., 0], theta[..., 1]
+def _array_evaluator(name: str, dimension: int, formula):
+    """The evaluator of a loss given by ``formula`` on its components.
+
+    One point is passed as Python floats, which skips numpy's ufunc dispatch,
+    and its value returned as a float64; a batch is passed as column views.
+    A last axis other than ``dimension`` raises ValueError.
+    """
+    width = (dimension,)
+    # one C call for the views theta[..., i]; a tuple of them for dimension >= 2
+    columns = operator.itemgetter(*[(..., i) for i in range(dimension)])
+
+    def evaluator(theta: np.ndarray) -> np.ndarray:
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape[-1:] != width:
+            raise ValueError(
+                f'loss "{name}" takes points of width {dimension}, not shape {theta.shape}'
+            )
+        if theta.ndim == 1:
+            return np.float64(formula(*theta.tolist()))
+        return formula(*columns(theta))
+
+    return evaluator
+
+
+def _quadratic(t1, t2):
     return t1 * t1 - t1 * t2 + t2 * t2
 
 
@@ -143,12 +169,7 @@ def _quadratic_grad(theta: np.ndarray) -> np.ndarray:
     return np.stack([2.0 * t1 - t2, 2.0 * t2 - t1], axis=-1)
 
 
-def _quartic_eval(theta: np.ndarray) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim == 1:
-        t1, t2 = theta.tolist()
-        return np.float64((t1 * t1) * (t1 * t1) + t1 * t1 + t1 * t2 + t2 * t2)
-    t1, t2 = theta[..., 0], theta[..., 1]
+def _quartic(t1, t2):
     sq = t1 * t1  # t1**4 as sq * sq: libm pow on strided views is ~10x slower
     return sq * sq + sq + t1 * t2 + t2 * t2
 
@@ -159,25 +180,14 @@ def _quartic_grad(theta: np.ndarray) -> np.ndarray:
     return np.stack([4.0 * t1**3 + 2.0 * t1 + t2, t1 + 2.0 * t2], axis=-1)
 
 
-QUADRATIC = register_loss(
-    LossFunction(
-        name="quadratic_4_1",
-        evaluator=_quadratic_eval,
-        gradient=_quadratic_grad,
-        is_quadratic=True,
-        dimension=2,
-    ),
-)
+def _register_bundled(name, formula, gradient, is_quadratic):
+    evaluator = _array_evaluator(name, 2, formula)
+    loss = LossFunction(name, evaluator, gradient, is_quadratic, dimension=2, formula=formula)
+    return register_loss(loss)
 
-QUARTIC = register_loss(
-    LossFunction(
-        name="quartic_4_2",
-        evaluator=_quartic_eval,
-        gradient=_quartic_grad,
-        is_quadratic=False,
-        dimension=2,
-    ),
-)
+
+QUADRATIC = _register_bundled("quadratic_4_1", _quadratic, _quadratic_grad, is_quadratic=True)
+QUARTIC = _register_bundled("quartic_4_2", _quartic, _quartic_grad, is_quadratic=False)
 
 
 @dataclass(frozen=True)
@@ -314,8 +324,9 @@ def spsa_run(
     uniforms elementwise to perturbation components. A zero component, a c_k
     that underflows to 0 and a shift c_k * delta_i that rounds to 0 (named by
     its first k) each raise ValueError before any loss evaluation.
-    Each step runs on Python floats; the loss sees a new (p,) array and its
-    value is taken with ``float``.
+    Each step runs on Python floats. The loss is called as its ``formula`` on
+    p Python floats or, for a loss without one, as its ``evaluator`` on a new
+    (p,) array; either value is taken with ``float``.
     """
     if k_max < 1:
         raise ValueError("k_max must be a positive integer")
@@ -334,14 +345,20 @@ def spsa_run(
         raise ValueError(f"c_k * delta rounds to 0 at k = {zero_rows[0]}")
     noise = (math.sqrt(2.0 * problem.sigma2) * standard_normal_from_uniform(u[:, p])).tolist()
     gains_a = [schedule.gain_a(k) for k in range(k_max)]
-    evaluator = problem.loss.evaluator
+    loss = problem.loss.formula
+    if loss is None:
+        evaluator = problem.loss.evaluator
+
+        def loss(*point):
+            return evaluator(np.array(point))
+
     # _sp_step's operations in its order, on one row of Python floats
     theta = list(problem.theta0)
     rows = [theta]
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (shift, noise_k, a_k) in enumerate(zip(shifts.tolist(), noise, gains_a)):
-            diff = float(evaluator(np.array(list(map(operator.add, theta, shift))))) + noise_k
-            diff -= float(evaluator(np.array(list(map(operator.sub, theta, shift)))))
+            diff = float(loss(*map(operator.add, theta, shift))) + noise_k
+            diff -= float(loss(*map(operator.sub, theta, shift)))
             theta = [t - diff / (s * 2.0) * a_k for t, s in zip(theta, shift)]
             if not all(map(math.isfinite, theta)):
                 trajectory = np.full((k_max + 1, p), np.nan)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import warnings
@@ -106,6 +107,8 @@ class TestLossRegistry:
         assert "quadratic_4_1" in names and "quartic_4_2" in names
         assert get_loss("quadratic_4_1").is_quadratic
         assert not get_loss("quartic_4_2").is_quadratic
+        # the losses TestBundledEvaluators checks against their formulas
+        assert {n for n in names if get_loss(n).formula} == {"quadratic_4_1", "quartic_4_2"}
 
     def test_unknown_loss(self):
         with pytest.raises(ValueError, match="unknown loss"):
@@ -154,17 +157,30 @@ class TestBundledEvaluators:
             assert value.tobytes() == np.float64(PLAIN_LOSSES[name](*row.tolist())).tobytes()
 
     def test_batches_and_strided_views_match_row_by_row(self, name):
-        evaluator = get_loss(name).evaluator
+        # the evaluator, on one point or on a batch, gives the bits of the
+        # loss's formula on that point's Python floats
+        loss = get_loss(name)
         rng = np.random.default_rng(32)
         wide = rng.uniform(-3.0, 3.0, size=(40, 5))
         columns = wide[:, 1:4:2]  # columns 1 and 3: a view that is not contiguous
         assert not columns.flags.c_contiguous and np.shares_memory(columns, wide)
         batches = (rng.uniform(-3.0, 3.0, size=(40, 2)), rng.uniform(-3.0, 3.0, size=(2, 40, 2)))
         for points in (*batches, columns):
-            result = evaluator(points)
-            rows = [evaluator(row) for row in points.reshape(-1, 2)]
+            result = loss.evaluator(points)
+            rows = [loss.evaluator(row) for row in points.reshape(-1, 2)]
+            formulas = [loss.formula(*row) for row in points.reshape(-1, 2).tolist()]
+            assert all(type(value) is np.float64 for value in rows)
+            assert all(type(value) is float for value in formulas)
             assert result.shape == points.shape[:-1]
-            assert result.tobytes() == np.array(rows).tobytes()
+            assert result.tobytes() == np.array(rows).tobytes() == np.array(formulas).tobytes()
+
+    def test_refuses_a_point_of_the_wrong_width(self, name):
+        evaluator = get_loss(name).evaluator
+        for points in (np.ones((3, 3)), np.ones((2, 4, 1)), np.ones(3), [1.0], 1.0):
+            with pytest.raises(ValueError) as info:
+                evaluator(points)
+            shape = np.shape(points)
+            assert str(info.value) == f'loss "{name}" takes points of width 2, not shape {shape}'
 
     def test_finite_differences_and_stationarity_check_unchanged(self, name):
         loss, plain, h = get_loss(name), PLAIN_LOSSES[name], 1e-5
@@ -347,11 +363,13 @@ class TestSpsaRun:
         assert np.array_equal(run1.trajectory, run2.trajectory)
 
     def test_two_loss_evaluations_per_iteration(self):
+        # a loss without a formula sees each point as a new (p,) array
         calls = 0
 
         def counting_eval(theta):
             nonlocal calls
             calls += 1
+            assert type(theta) is np.ndarray and theta.shape == (2,)
             return _quad(theta)
 
         def _quad(theta):
@@ -440,6 +458,28 @@ class TestSpsaRun:
             expected.append((t1, t2))
         assert not run.diverged and run.n_loss_evals == 2 * k_max
         assert run.trajectory.tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("dist", (BERNOULLI, SEGMENTED_UNIFORM), ids=lambda d: d.name)
+    @pytest.mark.parametrize("config", ("quadratic", "quartic"))
+    def test_formula_matches_the_evaluator_alone(self, config, dist):
+        # the bundled loss, called as its formula on Python floats, against the
+        # same evaluator in a LossFunction without a formula, called on (p,) arrays
+        spec = parse_config(bundled_config_text(config), source=config).experiment
+        schedule = spec.schedule_bern if dist is BERNOULLI else spec.schedule_su
+        cases = [(schedule, seed) for seed in range(5)]
+        if config == "quartic":
+            cases.append((GainSchedule(a=1e305, c=1.0), 9))  # diverges
+        bundled = spec.problem.loss
+        alone = LossFunction(name="tmp_alone", evaluator=bundled.evaluator, dimension=2)
+        assert bundled.formula is not None and alone.formula is None
+        for schedule, seed in cases:
+            runs = [
+                spsa_run(problem, schedule, dist, 300, np.random.default_rng(seed))
+                for problem in (spec.problem, dataclasses.replace(spec.problem, loss=alone))
+            ]
+            assert runs[0].diverged is (schedule.a == 1e305)
+            fields = [(r.trajectory.tobytes(), r.n_loss_evals, r.diverged_at) for r in runs]
+            assert fields[0] == fields[1]
 
     @pytest.mark.parametrize("at", (0, 3))
     @pytest.mark.parametrize("component", (0, 1))
