@@ -116,7 +116,7 @@ _TOP_LEVEL_KEYS = (
     "master_seed",
     "third_derivative_bound",
 )
-_PROBLEM_KEYS = ("loss", "dimension", "theta_star", "theta0", "sigma2")
+_PROBLEM_KEYS = ("loss", "theta_star", "theta0", "sigma2")
 
 
 def parse_config(text: str | bytes, source: str = "<config>") -> CliConfig:
@@ -136,17 +136,17 @@ def parse_config(text: str | bytes, source: str = "<config>") -> CliConfig:
             loss = get_loss(loss_name)
         except ValueError as exc:
             raise ConfigError(f"problem.loss: {exc}") from None
-        dimension = _as_int(_require(problem_map, "dimension", "problem"), "problem.dimension")
-        if dimension < 1:
-            raise ConfigError("problem.dimension must be at least 1")
+        theta0 = _require(problem_map, "theta0", "problem")
+        if not isinstance(theta0, list) or not theta0:
+            raise ConfigError("problem.theta0 must be a non-empty array of numbers")
+        theta0 = tuple(_as_number(v, f"problem.theta0[{i}]") for i, v in enumerate(theta0))
         theta_star = _as_vector(
-            _require(problem_map, "theta_star", "problem"), "problem.theta_star", dimension
+            _require(problem_map, "theta_star", "problem"), "problem.theta_star", len(theta0)
         )
-        theta0 = _as_vector(_require(problem_map, "theta0", "problem"), "problem.theta0", dimension)
         sigma2 = _as_number(_require(problem_map, "sigma2", "problem"), "problem.sigma2")
         try:
             problem = ProblemConfig(
-                p=dimension, loss=loss, theta_star=theta_star, sigma2=sigma2, theta0=theta0
+                p=len(theta0), loss=loss, theta_star=theta_star, sigma2=sigma2, theta0=theta0
             )
         except ValueError as exc:
             raise ConfigError(f"problem: {exc}") from None
@@ -198,7 +198,6 @@ def dumps_config(config: CliConfig) -> str:
     document = {
         "problem": {
             "loss": problem.loss.name,
-            "dimension": problem.p,
             "theta_star": list(problem.theta_star),
             "theta0": list(problem.theta0),
             "sigma2": problem.sigma2,

@@ -138,9 +138,8 @@ def registered_losses() -> tuple[str, ...]:
 def _array_evaluator(name: str, dimension: int, formula):
     """The evaluator of a loss given by ``formula`` on its components.
 
-    One point is passed as Python floats, which skips numpy's ufunc dispatch,
-    and its value returned as a float64; a batch is passed as column views.
-    A last axis other than ``dimension`` raises ValueError.
+    Points go to the formula as column views, one point as a batch of one that
+    gives a float64 scalar. A last axis other than ``dimension`` raises ValueError.
     """
     width = (dimension,)
     # one C call for the views theta[..., i]; a tuple of them for dimension >= 2
@@ -152,8 +151,6 @@ def _array_evaluator(name: str, dimension: int, formula):
             raise ValueError(
                 f'loss "{name}" takes points of width {dimension}, not shape {theta.shape}'
             )
-        if theta.ndim == 1:
-            return np.float64(formula(*theta.tolist()))
         return formula(*columns(theta))
 
     return evaluator

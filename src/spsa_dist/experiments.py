@@ -319,10 +319,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                     spec.master_seed,
                     stream_tag,
                     n_reps=n,
-                    words_per_rep=buffer.shape[1],
                     iteration=k,
                     start=start,
-                    stop=start + rows,
                     out=buffer[:rows],
                 )
             a = 0

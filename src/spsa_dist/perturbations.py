@@ -16,10 +16,10 @@ E[1/X^2] is finite: 1 for the Bernoulli and 100/61 for the segmented uniform
 symmetry and bounded support, is what makes a law admissible as an SPSA
 perturbation distribution.
 
-All distribution objects are immutable and safe to share across threads.
-Randomness enters only through caller-supplied ``numpy.random.Generator``
-handles, and every component of either law is a function of exactly one
-uniform draw, which keeps parallel replicate streams alignable.
+All distribution objects are immutable and safe to share across threads. Each
+component of either law is a function of exactly one uniform, which keeps
+parallel replicate streams alignable: the harness passes stream words to
+``deltas_from_uniforms``, and ``sample_array`` draws from a caller's Generator.
 """
 
 from __future__ import annotations

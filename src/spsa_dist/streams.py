@@ -14,10 +14,10 @@ iteration, the draws for iteration k occupy word offsets
     [k * n_reps * words_per_rep, (k + 1) * n_reps * words_per_rep)
 
 and replicate r owns the ``words_per_rep`` consecutive draws starting at
-``k * n_reps * words_per_rep + r * words_per_rep``. Because every address is
-absolute, splitting the replicate range into chunks (or across workers) in
-any way reproduces bit-identical draws, and any single replicate can be
-regenerated in isolation.
+``k * n_reps * words_per_rep + r * words_per_rep``. A draw fills the buffer
+it is handed, whose shape (rows, words_per_rep) completes its address. As
+every address is absolute, any split of the replicates into calls or workers
+gives bit-identical draws, and any one replicate can be regenerated alone.
 
 Seeding a generator costs about ten times a seek, so each thread keeps its
 last few seeded generators, one per (master_seed, stream_tag), and seeks them.
@@ -56,46 +56,34 @@ _generators = _Generators()
 
 
 def uniform_block(
-    master_seed: int,
-    stream_tag: int,
-    *,
-    n_reps: int,
-    words_per_rep: int,
-    iteration: int,
-    start: int,
-    stop: int,
-    out: np.ndarray | None = None,
+    master_seed: int, stream_tag: int, *, n_reps: int, iteration: int, start: int, out: np.ndarray
 ) -> np.ndarray:
-    """Uniform draws for replicates [start, stop) at one iteration.
+    """Fill ``out`` with the draws of replicates [start, start + rows) at one iteration.
 
-    Returns an array of shape (stop - start, words_per_rep) whose values
-    depend only on the stream address, never on how the replicate range is
-    partitioned into calls or in which order the calls are made. With
-    ``out``, a C-contiguous float64 array of that shape, the same words are
-    written into it and ``out`` is returned; any other ``out`` raises.
+    ``out`` is a C-contiguous float64 array of shape (rows, words_per_rep); any
+    other ``out`` raises. The words depend only on the stream address, never on
+    how the replicate range is split into calls or on their order. Returns ``out``.
     """
-    if not 0 <= start <= stop <= n_reps:
-        raise ValueError("replicate range must satisfy 0 <= start <= stop <= n_reps")
+    # numpy fills a Fortran-ordered out in memory order, transposing the draws
+    if out.ndim != 2 or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError("out must be a 2-D, C-contiguous float64 array")
+    rows, words_per_rep = out.shape
+    if start < 0 or start + rows > n_reps:
+        raise ValueError("replicate range must satisfy 0 <= start <= start + rows <= n_reps")
     # a negative address would wrap to the far end of the stream
     if iteration < 0:
         raise ValueError(f"iteration must be nonnegative, got {iteration}")
     if words_per_rep < 1:
         raise ValueError(f"words_per_rep must be positive, got {words_per_rep}")
-    # numpy fills a Fortran-ordered out in memory order, transposing the draws
-    if out is not None and not out.flags.c_contiguous:
-        raise ValueError("out must be C-contiguous")
     offset = words_per_rep * (iteration * n_reps + start)
-    count = (stop - start) * words_per_rep
     memo = _generators.memo
     key = (master_seed, stream_tag)
     # taken out while in use, so a draw that raises leaves no stale position
     gen, position = memo.pop(key, None) or (Generator(PCG64DXSM(SeedSequence(key))), 0)
     # advance wraps modulo 2**128, so a negative distance seeks backwards
     gen.bit_generator.advance(offset - position)
-    if out is None:
-        out = np.empty((stop - start, words_per_rep))
-    gen.random((stop - start, words_per_rep), out=out)
-    memo[key] = (gen, offset + count)
+    gen.random(out=out)
+    memo[key] = (gen, offset + out.size)
     if len(memo) > _MEMO_SIZE:
         del memo[next(iter(memo))]
     return out

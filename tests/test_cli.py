@@ -143,7 +143,7 @@ class TestCheck:
             )
         doc = small_run_doc()
         doc["problem"].update(
-            {"loss": "sphere_3d", "dimension": 3, "theta_star": [0, 0, 0], "theta0": [1, 1, 1]}
+            {"loss": "sphere_3d", "theta_star": [0, 0, 0], "theta0": [1, 1, 1]}
         )
         # a quadratic loss at p = 3 is Corollary 2, not Corollary 3
         assert cli.main(["check", str(write_doc(tmp_path, doc))]) == 0

@@ -51,6 +51,46 @@ def test_bundled_quadratic_contents():
     assert spec.k_values == (1, 5, 10, 1000)
 
 
+# what the bundled configs parsed to when they also stated p as "dimension": 2
+BUNDLED_SPECS = {
+    "quadratic": ExperimentSpec(
+        problem=ProblemConfig(
+            p=2,
+            loss=get_loss("quadratic_4_1"),
+            theta_star=(0.0, 0.0),
+            sigma2=1.0,
+            theta0=(0.3, 0.3),
+        ),
+        schedule_su=GainSchedule(a=0.00167, c=0.1),
+        schedule_bern=GainSchedule(a=0.01897, c=0.1),
+        k_values=(1, 5, 10, 1000),
+        n_reps=1_000_000,
+        master_seed=20260811,
+    ),
+    "quartic": ExperimentSpec(
+        problem=ProblemConfig(
+            p=2,
+            loss=get_loss("quartic_4_2"),
+            theta_star=(0.0, 0.0),
+            sigma2=1.0,
+            theta0=(1.0, 1.0),
+        ),
+        schedule_su=GainSchedule(a=0.05, c=1.0),
+        schedule_bern=GainSchedule(a=0.15, c=1.0),
+        k_values=(1, 2, 5, 1000),
+        n_reps=100_000,
+        master_seed=20260812,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BUNDLED_CONFIGS)
+def test_bundled_configs_take_p_from_theta0(name):
+    text = bundled_config_text(name)
+    assert "dimension" not in json.loads(text)["problem"]
+    assert parse_config(text, source=name) == CliConfig(experiment=BUNDLED_SPECS[name])
+
+
 def test_unknown_keys_rejected():
     doc = quadratic_doc()
     doc["extra"] = 1
@@ -105,8 +145,8 @@ def test_type_errors():
     with pytest.raises(ConfigError, match="n_reps must be an integer"):
         parse_doc(doc)
     doc = quadratic_doc()
-    doc["problem"]["theta0"] = [0.3]
-    with pytest.raises(ConfigError, match="array of 2 numbers"):
+    doc["problem"]["theta_star"] = [0.3]
+    with pytest.raises(ConfigError, match="theta_star must be an array of 2 numbers"):
         parse_doc(doc)
     # json.dumps writes NaN and Infinity literals, which json.loads accepts
     doc = quadratic_doc()
@@ -131,7 +171,6 @@ def test_semantic_errors():
     with pytest.raises(ConfigError, match="unknown loss"):
         parse_doc(doc)
     doc = quadratic_doc()
-    doc["problem"]["dimension"] = 3
     doc["problem"]["theta_star"] = [0, 0, 0]
     doc["problem"]["theta0"] = [1, 1, 1]
     with pytest.raises(ConfigError, match="dimension"):
@@ -218,7 +257,7 @@ NUMERIC_PATHS = [
 # objects of a config document, with the keys each allows
 OBJECTS = [
     ((), ("problem", "gains", "k_values", "n_reps", "master_seed", "third_derivative_bound")),
-    (("problem",), ("loss", "dimension", "theta_star", "theta0", "sigma2")),
+    (("problem",), ("loss", "theta_star", "theta0", "sigma2")),
     (("gains",), ("bernoulli", "segmented_uniform")),
     (("gains", "bernoulli"), ("a", "c")),
 ]
@@ -283,15 +322,21 @@ WHOLE_MESSAGES = [
         id="unknown_loss",
     ),
     pytest.param(
-        edited_text((("problem", "dimension"), 2.0)), "problem.dimension must be an integer",
-        id="not_integer",
+        edited_text((("n_reps",), 2.5)), "n_reps must be an integer", id="not_integer"
     ),
     pytest.param(
-        edited_text((("problem", "dimension"), 0)), "problem.dimension must be at least 1",
-        id="dimension_zero",
+        edited_text((("problem", "dimension"), 2)),
+        "unknown key(s) 'dimension' at problem (allowed: loss, theta_star, theta0, sigma2)",
+        id="dimension_key",
     ),
     pytest.param(
-        edited_text((("problem", "theta0"), [0.3])), "problem.theta0 must be an array of 2 numbers",
+        edited_text((("problem", "theta0"), [])),
+        "problem.theta0 must be a non-empty array of numbers",
+        id="theta0_empty",
+    ),
+    pytest.param(
+        edited_text((("problem", "theta_star"), [0.0])),
+        "problem.theta_star must be an array of 2 numbers",
         id="vector_length",
     ),
     pytest.param(
@@ -305,7 +350,6 @@ WHOLE_MESSAGES = [
     ),
     pytest.param(
         edited_text(
-            (("problem", "dimension"), 3),
             (("problem", "theta_star"), [0, 0, 0]),
             (("problem", "theta0"), [1, 1, 1]),
         ),

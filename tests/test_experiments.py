@@ -110,10 +110,9 @@ def rebuilt_squared_errors(spec):
                 spec.master_seed,
                 stream_tag,
                 n_reps=n,
-                words_per_rep=words_per_rep,
                 iteration=k,
                 start=0,
-                stop=n,
+                out=np.empty((n, words_per_rep)),
             )
 
         noise = noise_scale * standard_normal_from_uniform(draw(streams.NOISE_STREAM, 1)[:, 0])
@@ -208,10 +207,9 @@ def diverging_rows(spec, dist, stream_tag, iteration=0):
         spec.master_seed,
         stream_tag,
         n_reps=spec.n_reps,
-        words_per_rep=spec.problem.p,
         iteration=iteration,
         start=0,
-        stop=spec.n_reps,
+        out=np.empty((spec.n_reps, spec.problem.p)),
     )
     delta = dist.deltas_from_uniforms(u)
     schedule = {"bernoulli": spec.schedule_bern, "segmented_uniform": spec.schedule_su}[dist.name]
@@ -518,10 +516,9 @@ class TestRunExperiment:
                     spec.master_seed,
                     streams.NOISE_STREAM,
                     n_reps=spec.n_reps,
-                    words_per_rep=1,
                     iteration=k,
                     start=replicate,
-                    stop=replicate + 1,
+                    out=np.empty((1, 1)),
                 )[0, 0]
                 noise = noise_scale * standard_normal_from_uniform(u_noise)
                 for name, dist in dists.items():
@@ -529,10 +526,9 @@ class TestRunExperiment:
                         spec.master_seed,
                         tags[name],
                         n_reps=spec.n_reps,
-                        words_per_rep=problem.p,
                         iteration=k,
                         start=replicate,
-                        stop=replicate + 1,
+                        out=np.empty((1, problem.p)),
                     )[0]
                     delta = dist.deltas_from_uniforms(u_pert)
                     schedule = schedules[name]
@@ -768,9 +764,9 @@ class TestRunExperiment:
         calls = []
         uniform_block = streams.uniform_block
 
-        def spy(*args, start, stop, **kwargs):
-            calls.append((start, stop))
-            return uniform_block(*args, start=start, stop=stop, **kwargs)
+        def spy(*args, start, out, **kwargs):
+            calls.append((start, start + len(out)))
+            return uniform_block(*args, start=start, out=out, **kwargs)
 
         monkeypatch.setattr(streams, "uniform_block", spy)
         # 79 segments of 256 rows, the last one 32: two workers take 39 and 40

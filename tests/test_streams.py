@@ -11,18 +11,19 @@ N_REPS = 50
 WORDS = 3
 
 
-def oracle(seed, tag, *, iteration, start, stop):
+def oracle(seed, tag, *, iteration, start, stop, words_per_rep=WORDS):
     """The addressed block, read from word 0 of a freshly seeded generator."""
-    first = WORDS * (iteration * N_REPS + start)
+    first = words_per_rep * (iteration * N_REPS + start)
     words = Generator(PCG64DXSM(SeedSequence((seed, tag)))).random(
-        WORDS * (iteration * N_REPS + stop)
+        words_per_rep * (iteration * N_REPS + stop)
     )
-    return words[first:].reshape(stop - start, WORDS)
+    return words[first:].reshape(stop - start, words_per_rep)
 
 
 def block(seed, tag, *, iteration, start, stop):
+    out = np.empty((stop - start, WORDS))
     return streams.uniform_block(
-        seed, tag, n_reps=N_REPS, words_per_rep=WORDS, iteration=iteration, start=start, stop=stop
+        seed, tag, n_reps=N_REPS, iteration=iteration, start=start, out=out
     )
 
 
@@ -96,28 +97,30 @@ def test_threads_at_once_each_get_the_addressed_draws():
     assert mismatches == []
 
 
-@pytest.mark.parametrize("start, stop", [(-1, 2), (3, 2), (0, N_REPS + 1)])
-def test_invalid_replicate_range_raises(start, stop):
+# a draw needs 0 <= start and start + rows <= n_reps, also when it has no rows
+@pytest.mark.parametrize(
+    "start, rows", [(-1, 2), (0, N_REPS + 1), (N_REPS - 1, 2), (N_REPS + 1, 0)]
+)
+def test_invalid_replicate_range_raises(start, rows):
     with pytest.raises(ValueError, match="replicate range"):
-        block(0, 0, iteration=0, start=start, stop=stop)
+        block(0, 0, iteration=0, start=start, stop=start + rows)
 
 
 @pytest.mark.parametrize(
-    "words_per_rep, iteration, message",
-    [(WORDS, -1, "iteration"), (0, 0, "words_per_rep"), (-1, 0, "words_per_rep")],
+    "words_per_rep, iteration, message", [(WORDS, -1, "iteration"), (0, 0, "words_per_rep")]
 )
 def test_invalid_address_raises(words_per_rep, iteration, message):
     with pytest.raises(ValueError, match=message):
         streams.uniform_block(
-            1, 0, n_reps=N_REPS, words_per_rep=words_per_rep, iteration=iteration, start=0, stop=2
+            1, 0, n_reps=N_REPS, iteration=iteration, start=0, out=np.empty((2, words_per_rep))
         )
 
 
 def test_a_failed_draw_leaves_later_draws_addressed():
     block(7, 0, iteration=1, start=0, stop=4)
     with pytest.raises(ValueError):
-        # a negative word count fails before the seek
-        streams.uniform_block(7, 0, n_reps=N_REPS, words_per_rep=-1, iteration=0, start=0, stop=2)
+        # a zero word count fails before the seek
+        streams.uniform_block(7, 0, n_reps=N_REPS, iteration=0, start=0, out=np.empty((2, 0)))
     got = block(7, 0, iteration=1, start=4, stop=9)
     assert got.tobytes() == oracle(7, 0, iteration=1, start=4, stop=9).tobytes()
 
@@ -146,20 +149,50 @@ def test_out_gets_the_same_words_under_any_partition():
                     9,
                     streams.SEGMENTED_UNIFORM_STREAM,
                     n_reps=N_REPS,
-                    words_per_rep=WORDS,
                     iteration=iteration,
                     start=a,
-                    stop=b,
                     out=out,
                 )
                 assert got is out
             assert buffer.tobytes() == whole.tobytes()
 
 
+def test_out_of_any_shape_gets_the_addressed_words():
+    for rows in range(N_REPS + 1):
+        for words in range(1, 5):
+            for start in sorted({0, (N_REPS - rows) // 2, N_REPS - rows}):
+                out = np.full((rows, words), np.nan)
+                assert streams.uniform_block(
+                    4, 2, n_reps=N_REPS, iteration=3, start=start, out=out
+                ) is out
+                want = oracle(
+                    4, 2, iteration=3, start=start, stop=start + rows, words_per_rep=words
+                )
+                assert out.tobytes() == want.tobytes()
+
+
+def test_row_slices_of_a_larger_buffer_get_the_addressed_words():
+    # as a harness block refills its buffers, each time with its own number of rows
+    buffer = np.full((N_REPS, WORDS), np.nan)
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        rows = int(rng.integers(0, N_REPS + 1))
+        start = int(rng.integers(0, N_REPS - rows + 1))
+        iteration = int(rng.integers(0, 4))
+        tail = buffer[rows:].tobytes()
+        out = buffer[:rows]
+        assert streams.uniform_block(
+            6, 0, n_reps=N_REPS, iteration=iteration, start=start, out=out
+        ) is out
+        want = oracle(6, 0, iteration=iteration, start=start, stop=start + rows)
+        assert out.tobytes() == want.tobytes()
+        assert buffer[rows:].tobytes() == tail
+
+
 @pytest.mark.parametrize(
     "out",
     [
-        np.empty((4, WORDS + 1)),
+        np.empty((4, WORDS, 1)),
         np.empty(4 * WORDS),
         np.empty((4, WORDS), dtype=np.float32),
         np.empty((4, 2 * WORDS))[:, ::2],
@@ -169,14 +202,10 @@ def test_out_gets_the_same_words_under_any_partition():
 )
 def test_a_wrong_out_raises_and_later_draws_stay_addressed(out):
     block(8, 1, iteration=0, start=0, stop=3)
-    with pytest.raises((ValueError, TypeError)):
-        streams.uniform_block(
-            8, 1, n_reps=N_REPS, words_per_rep=WORDS, iteration=1, start=2, stop=6, out=out
-        )
+    with pytest.raises(ValueError, match="out must be a 2-D, C-contiguous float64 array"):
+        streams.uniform_block(8, 1, n_reps=N_REPS, iteration=1, start=2, out=out)
     buffer = np.empty((4, WORDS))
-    streams.uniform_block(
-        8, 1, n_reps=N_REPS, words_per_rep=WORDS, iteration=1, start=6, stop=10, out=buffer
-    )
+    streams.uniform_block(8, 1, n_reps=N_REPS, iteration=1, start=6, out=buffer)
     assert buffer.tobytes() == oracle(8, 1, iteration=1, start=6, stop=10).tobytes()
     assert block(8, 1, iteration=0, start=3, stop=5).tobytes() == (
         oracle(8, 1, iteration=0, start=3, stop=5).tobytes()
