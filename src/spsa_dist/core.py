@@ -23,8 +23,9 @@ pure functions of (configuration, seed).
 
 A perturbation law is any object with an elementwise map
 ``deltas_from_uniforms(u)`` from uniforms to components. The batched step
-arithmetic is one unchecked kernel: :func:`sp_gradient` checks its inputs at
-every call and the experiment harness once. :func:`spsa_run` checks its
+arithmetic is one kernel that checks only the shape of each loss value:
+:func:`sp_gradient` checks its inputs at every call and the experiment
+harness once. :func:`spsa_run` checks its
 inputs once and then steps one row of Python floats with the kernel's
 operations in the kernel's order, so its iterates have the same bits as steps
 through :func:`sp_gradient` without paying numpy's dispatch per operation.
@@ -40,7 +41,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtri
 
 __all__ = [
     "GAIN_EXPONENT_A",
@@ -229,6 +229,9 @@ def standard_normal_from_uniform(u):
     addressable. A draw of exactly 0.0 is nudged to the smallest positive
     representable draw.
     """
+    # imported here, so commands that step no replicate load no scipy
+    from scipy.special import ndtri
+
     return ndtri(np.maximum(u, _MIN_UNIFORM))
 
 
@@ -238,19 +241,34 @@ def _check_nonzero(delta: np.ndarray) -> None:
         raise ValueError("perturbation components must be nonzero")
 
 
+def _loss_values(evaluator, points: np.ndarray):
+    """``evaluator(points)``, refused with ValueError unless it holds one value
+    per point, shape ``points.shape[:-1]``: a trailing axis would broadcast
+    against the noise into a (rows, rows) array.
+    """
+    values = evaluator(points)
+    if np.shape(values) != points.shape[:-1]:
+        raise ValueError(
+            f"the loss returned shape {np.shape(values)} for points of shape "
+            f"{points.shape}; it must return shape {points.shape[:-1]}, one value per point"
+        )
+    return values
+
+
 def _sp_step(evaluator, theta, shift, noise, a_k=None, out=None):
-    """The unchecked gradient estimate and, given ``a_k``, the SPSA update.
+    """The gradient estimate and, given ``a_k``, the SPSA update.
 
     ``shift`` is ``c_k * delta``, shaped like ``theta`` (..., p); it is used as
     scratch and holds the gradient estimate afterwards. Without ``a_k`` the
     estimate is returned; with it, ``theta - a_k * estimate`` is written into
     ``out`` (which may be ``theta``) and returned. Callers check the inputs
-    and set the floating-point error state.
+    and set the floating-point error state; a loss value of the wrong shape
+    raises ValueError.
     """
     point = theta + shift
     # a new array, so ``point`` is free again even if the result is a view of it
-    diff = evaluator(point) + noise
-    diff -= evaluator(np.subtract(theta, shift, out=point))
+    diff = _loss_values(evaluator, point) + noise
+    diff -= _loss_values(evaluator, np.subtract(theta, shift, out=point))
     shift *= 2.0
     grad = np.divide(np.asarray(diff)[..., None], shift, out=shift)
     if a_k is None:
@@ -347,7 +365,7 @@ def spsa_run(
         evaluator = problem.loss.evaluator
 
         def loss(*point):
-            return evaluator(np.array(point))
+            return _loss_values(evaluator, np.array(point))
 
     # _sp_step's operations in its order, on one row of Python floats
     theta = list(problem.theta0)

@@ -28,7 +28,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtr
 
 from . import streams, theory
 from .core import ProblemConfig, GainSchedule, _sp_step, standard_normal_from_uniform
@@ -161,6 +160,9 @@ def _t_test(n: int, mean: float, sd: float) -> TTestResult:
         if mean < 0.0:
             return TTestResult(t_stat=-math.inf, p_value=1.0, degenerate=True)
         return TTestResult(t_stat=0.0, p_value=0.5, degenerate=True)
+    # imported here, so commands that run no replicate load no scipy
+    from scipy.special import stdtr
+
     t_stat = mean / (sd / math.sqrt(n))
     p_value = float(stdtr(n - 1, -t_stat))
     return TTestResult(t_stat=t_stat, p_value=p_value)
@@ -220,13 +222,17 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     absolute stream address, so neither the block sizes nor the worker count
     changes any squared error.
 
-    A block steps its rows in tiles of ``_TILE_WORDS // p`` rows rounded
-    down to whole segments. The squared errors are not kept: at each
-    requested k a tile reduces them to the mean and M2 of each of its
-    segments, for each law and for the paired difference. The segments then
-    combine in one fixed sum, so every result is the same bits under any
-    split. Memory is O(workers x block x p + n_reps / _SEGMENT_ROWS x
-    len(k_values)).
+    Each iteration of a block is law-major, in tiles of ``_TILE_WORDS // p``
+    rows rounded down to whole segments: the noise draws become the scaled
+    noise differences in place, tile by tile; then, one law after the other,
+    one shared words buffer is filled with the law's draws and the law steps
+    all its tiles. The squared errors are not kept: at each requested k the
+    block reduces them tile by tile to the mean and M2 of each segment, for
+    each law and for the paired difference. The segments then combine in
+    one fixed sum, so every result is the same bits under any split. Besides
+    tile-sized temporaries, a block holds 3p + 1 float64 per row (two
+    iterates, the noise and the words), so memory is O(workers x block x p +
+    n_reps / _SEGMENT_ROWS x len(k_values)).
 
     A non-finite iterate aborts the whole experiment with a
     :class:`DivergedRunError` naming the smallest diverging replicate, its
@@ -300,42 +306,39 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         """
         start, stop = edges[index], edges[index + 1]
         rows = stop - start
-        # a tile's Bernoulli and segmented-uniform squared errors at one k, and their difference
-        errors = np.empty((3, tile_rows))
         theta = {dist.name: np.tile(theta0, (block_rows, 1)) for dist, _, _ in laws}
-        # One draw buffer per stream, refilled at every iteration. The steps
-        # then run over row tiles, whose temporaries stay in cache where
+        # The noise buffer becomes the scaled noise difference of each row,
+        # and the one words buffer is refilled with each law's draws in turn.
+        # The steps run over row tiles, whose temporaries stay in cache where
         # block-sized ones would go through memory (and, freed, be faulted
         # back in at the next iteration).
-        draws = {streams.NOISE_STREAM: np.empty((block_rows, 1))}
-        for _, stream_tag, _ in laws:
-            draws[stream_tag] = np.empty((block_rows, p))
+        noise = np.empty((block_rows, 1))
+        words = np.empty((block_rows, p))
         diverged = None
+
+        def draw(stream_tag, buffer, k):
+            streams.uniform_block(
+                spec.master_seed, stream_tag, n_reps=n, iteration=k, start=start, out=buffer
+            )
+
         for k in range(k_max):
             if first_failed < index:
                 return diverged
-            for stream_tag, buffer in draws.items():
-                streams.uniform_block(
-                    spec.master_seed,
-                    stream_tag,
-                    n_reps=n,
-                    iteration=k,
-                    start=start,
-                    out=buffer[:rows],
-                )
-            a = 0
-            while a < rows:
-                b = min(a + tile_rows, rows)
-                noise = standard_normal_from_uniform(draws[streams.NOISE_STREAM][a:b, 0])
-                noise *= noise_scale
-                for dist, stream_tag, schedule in laws:
-                    if a == b:
-                        break
+            draw(streams.NOISE_STREAM, noise[:rows], k)
+            column = noise[:rows, 0]
+            for a in range(0, rows, tile_rows):
+                u = column[a : a + tile_rows]
+                np.multiply(standard_normal_from_uniform(u), noise_scale, out=u)
+            for dist, stream_tag, schedule in laws:
+                draw(stream_tag, words[:rows], k)
+                c_k, a_k = schedule.gain_c(k), schedule.gain_a(k)
+                for a in range(0, rows, tile_rows):
+                    b = min(a + tile_rows, rows)
                     current = theta[dist.name][a:b]
                     # both laws' components are nonzero, so the step needs no check
-                    shift = dist.deltas_from_uniforms(draws[stream_tag][a:b])
-                    shift *= schedule.gain_c(k)
-                    _sp_step(evaluator, current, shift, noise, schedule.gain_a(k), current)
+                    shift = dist.deltas_from_uniforms(words[a:b])
+                    shift *= c_k
+                    _sp_step(evaluator, current, shift, noise[a:b, 0], a_k, current)
                     if not np.isfinite(current).all():
                         r = a + int(np.flatnonzero(~np.isfinite(current).all(axis=1))[0])
                         diverged = DivergedRunError(start + r, dist.name, k)
@@ -343,20 +346,29 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                         if r == 0:
                             return diverged
                         # only rows before r can still be the first to
-                        # diverge, so the later laws and tiles skip the rest
-                        rows = b = r
-                        noise = noise[: r - a]
-                if (k + 1) in wanted and diverged is None:
-                    tile = errors[:, : b - a]
-                    for law, values in enumerate(theta.values()):
-                        err = values[a:b] - theta_star
-                        err *= err  # may overflow; checked after the merge
-                        err.sum(axis=1, out=tile[law])
-                    np.subtract(tile[0], tile[1], out=tile[2])  # inf - inf is nan
-                    segments = slice((start + a) // segment, -(-(start + b) // segment))
-                    table[segments, wanted[k + 1]] = _moments(tile, segment).swapaxes(0, 1)
-                a = b
+                        # diverge, so the later law and iterations skip the rest
+                        rows = r
+                        break
+            if (k + 1) in wanted and diverged is None:
+                harvest(start, rows, theta, wanted[k + 1])
         return diverged
+
+    def harvest(start: int, rows: int, theta: dict, col: int) -> None:
+        """Write the segment moments of a block's squared errors into column
+        ``col`` of ``table``, tile by tile; the temporaries go on return.
+        """
+        # a tile's Bernoulli and segmented-uniform squared errors, and their difference
+        errors = np.empty((3, tile_rows))
+        for a in range(0, rows, tile_rows):
+            b = min(a + tile_rows, rows)
+            tile = errors[:, : b - a]
+            for law, values in enumerate(theta.values()):
+                err = values[a:b] - theta_star
+                err *= err  # may overflow; checked after the merge
+                err.sum(axis=1, out=tile[law])
+            np.subtract(tile[0], tile[1], out=tile[2])  # inf - inf is nan
+            segments = slice((start + a) // segment, -(-(start + b) // segment))
+            table[segments, col] = _moments(tile, segment).swapaxes(0, 1)
 
     # glibc hands a freed heap top over its trim threshold back to the kernel,
     # so each block iteration would fault its temporaries in again (1.6e4 in

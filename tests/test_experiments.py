@@ -16,6 +16,7 @@ from spsa_dist.core import (
     ProblemConfig,
     get_loss,
     sp_gradient,
+    spsa_run,
     standard_normal_from_uniform,
 )
 from spsa_dist.experiments import (
@@ -445,6 +446,38 @@ class TestRunExperiment:
         with pytest.raises(AssertionError, match="the loss was evaluated"):
             run_experiment(replace(spec, k_values=(956,)))
 
+    def test_loss_value_with_a_trailing_axis_is_refused(self, quadratic_spec, monkeypatch):
+        # (rows, 1) values would broadcast against the (rows,) noise into a
+        # (rows, rows) array; the first loss call is refused, and no call is added
+        shapes = []
+
+        def column(theta):
+            shapes.append(theta.shape)
+            return (theta * theta).sum(axis=-1, keepdims=True)
+
+        problem = replace(
+            quadratic_spec.problem, loss=LossFunction(name="column", evaluator=column, dimension=2)
+        )
+        refusal = (
+            "the loss returned shape {} for points of shape {}; "
+            "it must return shape {}, one value per point"
+        )
+        monkeypatch.setattr(experiments, "WORKERS", 1)  # one block of 3000 rows
+        rows = 3000
+        theta, delta, noise = np.zeros((rows, 2)), np.ones((rows, 2)), np.zeros(rows)
+        for step in (
+            lambda: run_experiment(small_spec(quadratic_spec, n_reps=rows, problem=problem)),
+            lambda: sp_gradient(problem, theta, 0.1, delta, noise),
+        ):
+            shapes.clear()
+            with pytest.raises(ValueError) as info:
+                step()
+            assert str(info.value) == refusal.format((rows, 1), (rows, 2), (rows,))
+            assert shapes == [(rows, 2)]
+        with pytest.raises(ValueError) as info:
+            spsa_run(problem, GainSchedule(a=0.1, c=0.1), BERNOULLI, 5, np.random.default_rng(0))
+        assert str(info.value) == refusal.format((1,), (2,), ())
+
     def test_zero_step_size(self, quadratic_spec):
         frozen = GainSchedule(a=0.0, c=0.1)
         spec = small_spec(
@@ -648,6 +681,27 @@ class TestRunExperiment:
             (su, "segmented_uniform", 0)
         }
 
+    def test_divergence_in_an_earlier_tile_than_the_first_law(self, quadratic_spec, monkeypatch):
+        tile = TILE_WORDS[1] // 3  # rows per 14-word tile at p = 3
+
+        def scenario(spec):
+            bern = diverging_rows(spec, BERNOULLI, streams.BERNOULLI_STREAM)
+            su = diverging_rows(spec, SEGMENTED_UNIFORM, streams.SEGMENTED_UNIFORM_STREAM)
+            return bern.size > 0 and su.size > 0 and 0 < su[0] and su[0] // tile < bern[0] // tile
+
+        spec = smallest_seed(
+            lambda seed: sparse_cliff_spec(quadratic_spec, master_seed=seed), scenario
+        )
+        bern = int(diverging_rows(spec, BERNOULLI, streams.BERNOULLI_STREAM)[0])
+        su = int(diverging_rows(spec, SEGMENTED_UNIFORM, streams.SEGMENTED_UNIFORM_STREAM)[0])
+        # under 4-row tiles the Bernoulli law steps all its tiles first and
+        # cuts the block at `bern`; the segmented uniform then diverges at
+        # `su`, in an earlier tile than the cut
+        assert 0 < su and su // tile < bern // tile
+        assert diverging_report(spec, monkeypatch, (CHUNK_SIZE, 5, 1)) == {
+            (su, "segmented_uniform", 0)
+        }
+
     def test_divergence_names_smaller_replicate_failing_later(self, frozen_cliff_spec, monkeypatch):
         spec = frozen_cliff_spec
         hits = cliff_hits(spec)
@@ -715,9 +769,11 @@ class TestRunExperiment:
         # two blocks run at once, so a block may hold at most 18 float64 per
         # row for peak RSS to stay put (the single-threaded harness held 27).
         # At 2^18 rows one block holds 8 tiles, whose squared errors reduce
-        # tile by tile: a block-sized buffer of them took 13.7 per row there
+        # tile by tile: a block-sized buffer of them took 13.7 per row there.
+        # The laws share one draw buffer of p words per row: one buffer per
+        # stream took 15.6 and 10.7 per row
         monkeypatch.setattr(experiments, "WORKERS", 1)
-        for n, bound in ((1 << 16, 18), (1 << 18, 12)):
+        for n, bound in ((1 << 16, 13), (1 << 18, 9)):
             spec = small_spec(quadratic_spec, k_values=(1, 3), n_reps=n)
             peak, _ = traced_peak(run_experiment, spec)
             assert peak / (8 * n) <= bound, (n, peak / (8 * n))

@@ -20,6 +20,19 @@ def test_package_import_leaves_out_scipy_stats(fresh_python):
     assert fresh_python(code).strip() == "False"
 
 
+def test_check_command_loads_no_scipy(fresh_python):
+    # scipy is imported only where a replicate's noise or a t-test needs it
+    code = (
+        "import contextlib, io, pathlib, sys\n"
+        "from spsa_dist import cli\n"
+        "config = pathlib.Path(cli.__file__).parent / 'configs' / 'quartic.json'\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['check', str(config)])\n"
+        "print(code, sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))"
+    )
+    assert fresh_python(code).strip() == "0 []"
+
+
 def test_package_import_leaves_the_reference_tables_unread(fresh_python):
     code = (
         "import sys; opened = []\n"
