@@ -14,8 +14,10 @@ Subcommands:
 
 Exit codes: 0 success, 1 usage or config error, 2 runtime failure (a
 diverged run, an I/O error, or an allocation the machine refuses). ``run`` and
-``reproduce`` open their output path before any replicate runs, so a path the
-OS will not open for writing fails at once, with the OS's own message.
+``reproduce`` build the CSV header's closed-form lines and open their output
+path before any replicate runs, so gains the closed form refuses (exit 1) and
+a path the OS will not open for writing (exit 2, with the OS's own message)
+fail at once.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 from . import theory
 from .config import bundled_config_text, load_config, parse_config, reference_tables
-from .experiments import DivergedRunError, run_experiment, write_csv
+from .experiments import DivergedRunError, _theory_lines, run_experiment, write_csv
 from .perturbations import from_name
 
 __all__ = ["main"]
@@ -141,6 +143,7 @@ def _check_out_path(out: str) -> None:
 
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
+    _theory_lines(cfg.experiment)  # gains the CSV header refuses fail before any replicate runs
     _check_out_path(args.out)
     result = run_experiment(cfg.experiment)
     write_csv(result, args.out)
@@ -169,6 +172,7 @@ def _cmd_reproduce(args) -> int:
     base = cfg.experiment
     if args.seed is not None:
         base = replace(base, master_seed=args.seed)
+    _theory_lines(base)  # one header for every group: they differ in k_values and n_reps
     out = f"{args.table}.csv" if args.out is None else args.out
     _check_out_path(out)
     results = []

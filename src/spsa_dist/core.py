@@ -261,20 +261,25 @@ def _sp_step(evaluator, theta, shift, noise, a_k=None, out=None):
     ``shift`` is ``c_k * delta``, shaped like ``theta`` (..., p); it is used as
     scratch and holds the gradient estimate afterwards. Without ``a_k`` the
     estimate is returned; with it, ``theta - a_k * estimate`` is written into
-    ``out`` (which may be ``theta``) and returned. Callers check the inputs
-    and set the floating-point error state; a loss value of the wrong shape
-    raises ValueError.
+    ``out`` (which may be ``theta``) and returned. The loss difference is
+    divided into the doubled shift along the leading axes, one pass per
+    component, through transposed views of ``shift``, so ``shift`` may have
+    any memory layout. Callers check the inputs and set the floating-point
+    error state; a loss value of the wrong shape raises ValueError.
     """
     point = theta + shift
     # a new array, so ``point`` is free again even if the result is a view of it
     diff = _loss_values(evaluator, point) + noise
     diff -= _loss_values(evaluator, np.subtract(theta, shift, out=point))
     shift *= 2.0
-    grad = np.divide(np.asarray(diff)[..., None], shift, out=shift)
+    # the transposed views put the rows innermost; broadcasting diff against
+    # the (..., p) shift would run one p-long inner loop per row. That pays
+    # at small p; from p = 40 on the strided rows make this pass slower
+    np.divide(np.asarray(diff).T, shift.T, out=shift.T, order="C")
     if a_k is None:
-        return grad
-    grad *= a_k
-    return np.subtract(theta, grad, out=out)
+        return shift
+    shift *= a_k
+    return np.subtract(theta, shift, out=out)
 
 
 def sp_gradient(problem: ProblemConfig, theta, c_k: float, delta, noise) -> np.ndarray:

@@ -228,7 +228,10 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     one shared words buffer is filled with the law's draws and the law steps
     all its tiles. The squared errors are not kept: at each requested k the
     block reduces them tile by tile to the mean and M2 of each segment, for
-    each law and for the paired difference. The segments then combine in
+    each law and for the paired difference. A squared error sums its p
+    squared components in index order, each pass running along a tile's
+    rows, so its bits depend neither on the tile nor on numpy's pairwise
+    summation of 8 or more terms. The segments then combine in
     one fixed sum, so every result is the same bits under any split. Besides
     tile-sized temporaries, a block holds 3p + 1 float64 per row (two
     iterates, the noise and the words), so memory is O(workers x block x p +
@@ -359,13 +362,21 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         """
         # a tile's Bernoulli and segmented-uniform squared errors, and their difference
         errors = np.empty((3, tile_rows))
+        # a tile's theta - theta_star, one row per component
+        components = np.empty((p, tile_rows))
         for a in range(0, rows, tile_rows):
             b = min(a + tile_rows, rows)
             tile = errors[:, : b - a]
+            err = components[:, : b - a]
             for law, values in enumerate(theta.values()):
-                err = values[a:b] - theta_star
+                np.subtract(values[a:b].T, theta_star[:, None], out=err)
                 err *= err  # may overflow; checked after the merge
-                err.sum(axis=1, out=tile[law])
+                # the components in index order, by hand: on a one-row tile
+                # numpy's axis-0 sum goes pairwise over 8 or more terms
+                total = tile[law]
+                np.copyto(total, err[0])
+                for component in err[1:]:
+                    total += component
             np.subtract(tile[0], tile[1], out=tile[2])  # inf - inf is nan
             segments = slice((start + a) // segment, -(-(start + b) // segment))
             table[segments, col] = _moments(tile, segment).swapaxes(0, 1)
@@ -460,6 +471,26 @@ def _format_number(value: float) -> str:
     return repr(float(value))
 
 
+def _theory_lines(spec: ExperimentSpec) -> list[str]:
+    """The CSV header's closed-form lines for ``spec``: the one-step condition
+    of a quadratic loss, and none for any other loss.
+
+    Gains the closed form cannot take, such as a c whose square underflows,
+    raise ValueError, so the command line calls this before any replicate runs.
+    """
+    if not spec.problem.loss.is_quadratic:
+        return []
+    inp, source = theory.condition_input_from_problem(
+        spec.problem, spec.schedule_su, spec.schedule_bern
+    )
+    report = theory.evaluate_condition(inp, quadratic=True, gradient_source=source)
+    return [
+        f"# theory_condition = {report.which_condition}",
+        f"# theory_lhs_explicit = {_format_number(report.lhs_explicit)}",
+        f"# theory_verdict = {report.verdict}",
+    ]
+
+
 def render_csv(result: ExperimentResult) -> str:
     """Render results as CSV text with a commented metadata header.
 
@@ -488,14 +519,7 @@ def render_csv(result: ExperimentResult) -> str:
         f"# pairing = {PAIRING_NOTE}",
         f"# t_test = {T_TEST_NOTE}",
     ]
-    if problem.loss.is_quadratic:
-        inp, source = theory.condition_input_from_problem(
-            problem, spec.schedule_su, spec.schedule_bern
-        )
-        report = theory.evaluate_condition(inp, quadratic=True, gradient_source=source)
-        lines.append(f"# theory_condition = {report.which_condition}")
-        lines.append(f"# theory_lhs_explicit = {_format_number(report.lhs_explicit)}")
-        lines.append(f"# theory_verdict = {report.verdict}")
+    lines += _theory_lines(spec)
     lines.append("k,distribution,mse,std_error,n_reps,mean_diff,t_stat,p_value")
     by_k: dict[int, list[MseEstimate]] = {}
     for est in result.estimates:

@@ -208,15 +208,27 @@ class TestCheck:
         )
         assert captured.out == ""
 
-    def test_subnormal_c_is_one_line(self, capsys, tmp_path):
+    def test_subnormal_c_is_one_line(self, capsys, tmp_path, monkeypatch):
         doc = small_run_doc()
         doc["gains"]["bernoulli"]["c"] = 1e-320  # c0**2 underflows to 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert cli.main(["check", str(write_doc(tmp_path, doc))]) == 1
-        captured = capsys.readouterr()
-        assert captured.err == "error: c0_bernoulli = 1e-320 is too small to square in float64\n"
-        assert captured.out == ""
+        out = tmp_path / "out.csv"
+        # run refuses the gains before any replicate runs: with noise its first
+        # step would diverge, without it the CSV header would fail after the last
+        monkeypatch.setattr(cli, "run_experiment", lambda spec: pytest.fail("replicates ran"))
+        for command, sigma2 in (("check", 1.0), ("run", 1.0), ("run", 0.0)):
+            doc["problem"]["sigma2"] = sigma2
+            argv = [command, str(write_doc(tmp_path, doc))]
+            if command == "run":
+                argv += ["--out", str(out)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert cli.main(argv) == 1, (command, sigma2)
+            captured = capsys.readouterr()
+            assert captured.err == (
+                "error: c0_bernoulli = 1e-320 is too small to square in float64\n"
+            )
+            assert captured.out == ""
+            assert not out.exists()
 
     def test_huge_c_gives_a_verdict(self, capsys, tmp_path):
         doc = small_run_doc()
@@ -322,7 +334,10 @@ class TestRun:
         assert sorted(tmp_path.iterdir()) == [path]
 
     def test_underflowing_c_k_fails_before_any_replicate(self, capsys, tmp_path):
-        doc = small_run_doc(k_values=(1000,), n_reps=10)
+        # the quartic, which has no closed-form header lines to refuse c first
+        doc = json.loads(bundled_config_text("quartic"))
+        doc["k_values"] = [1000]
+        doc["n_reps"] = 10
         doc["problem"]["sigma2"] = 0.0
         doc["gains"]["bernoulli"]["c"] = 5e-324  # c_k is 0 from k = 956 on
         out_path = tmp_path / "out.csv"
@@ -335,7 +350,9 @@ class TestRun:
         assert not out_path.exists()
 
     def test_shift_rounding_to_zero_fails_before_any_replicate(self, capsys, tmp_path):
-        doc = small_run_doc(k_values=(5,), n_reps=1000)
+        doc = json.loads(bundled_config_text("quartic"))  # no closed-form header lines
+        doc["k_values"] = [5]
+        doc["n_reps"] = 1000
         # c_0 = 5e-324 is positive, but c_0 * SEGMENT_INNER rounds to 0
         doc["gains"]["segmented_uniform"]["c"] = 5e-324
         out_path = tmp_path / "out.csv"
@@ -359,13 +376,19 @@ class TestRun:
         assert "diverged" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "theta0, step_gain",
-        (([7e153, 7e153], 0.0), ([1e154, 1e154], None)),
+        "theta0, step_gain, message",
+        (
+            ([7e153, 7e153], 0.0, "bernoulli at k=1: the squared errors overflow float64"),
+            ([1e154, 1e154], None, "condition value overflowed to nan"),
+        ),
         ids=("mean_overflows", "squared_error_overflows"),
     )
-    def test_overflowing_mse_is_input_error(self, capsys, tmp_path, theta0, step_gain):
+    def test_overflowing_mse_is_input_error(
+        self, capsys, tmp_path, theta0, step_gain, message
+    ):
         # at 7e153 with a frozen iterate each squared error is finite and their
-        # sum is not; at 1e154 the squared error of every row is inf already
+        # sum is not; at 1e154 the squared error of every row is inf already,
+        # and the CSV header's closed form overflows before any replicate runs
         doc = small_run_doc(n_reps=100)
         doc["problem"]["theta0"] = theta0
         if step_gain is not None:
@@ -375,7 +398,7 @@ class TestRun:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert cli.main(["run", str(write_doc(tmp_path, doc)), "--out", str(out_path)]) == 1
-        assert "bernoulli at k=1: the squared errors overflow float64" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out_path.exists()
 
 

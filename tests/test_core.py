@@ -280,18 +280,24 @@ class TestSpGradient:
 
     @pytest.mark.parametrize("dist", (BERNOULLI, SEGMENTED_UNIFORM), ids=lambda d: d.name)
     def test_batched_rows_match_single_calls(self, dist):
-        problem = quartic_problem(sigma2=1.0)
         rng = np.random.default_rng(23)
-        rows = 64
-        theta = rng.uniform(-2.0, 2.0, size=(rows, 2))
-        delta = dist.sample_array(rng, (rows, 2))
-        eps = rng.normal(size=(rows, 2))
-        noise = eps[:, 0] - eps[:, 1]
-        batched = sp_gradient(problem, theta, 0.3, delta, noise)
-        assert batched.shape == (rows, 2)
-        for r in range(rows):
-            single = sp_gradient(problem, theta[r], 0.3, delta[r], noise[r])
-            assert np.array_equal(batched[r], single)
+        # the division writes through transposed views of the shift, whatever
+        # its memory layout and leading shape
+        for problem, shape, order in (
+            (quartic_problem(sigma2=1.0), (64, 2), "C"),
+            (quartic_problem(sigma2=1.0), (64, 2), "F"),
+            (numpy_p3_problem(), (5, 7, 3), "C"),
+            (numpy_p3_problem(), (5, 7, 3), "F"),
+        ):
+            theta = rng.uniform(-2.0, 2.0, size=shape)
+            delta = np.asarray(dist.sample_array(rng, shape), order=order)
+            eps = rng.normal(size=shape[:-1] + (2,))
+            noise = eps[..., 0] - eps[..., 1]
+            batched = sp_gradient(problem, theta, 0.3, delta, noise)
+            assert batched.shape == shape
+            for row in np.ndindex(shape[:-1]):
+                single = sp_gradient(problem, theta[row], 0.3, delta[row], noise[row])
+                assert np.array_equal(batched[row], single)
 
     def test_evaluator_returning_a_view_of_its_input(self):
         # L(theta) = theta_1 read as a view: evaluating the second point must

@@ -74,23 +74,35 @@ def cliff_spec(quadratic_spec, *, master_seed, p=2):
     )
 
 
-@pytest.fixture(scope="module")
-def sum_of_squares_spec(quadratic_spec):
-    """The bundled quadratic's run on the sum of squares in three dimensions,
-    where 2^16 // p rows are no whole number of segments.
-    """
+def sum_of_squares(quadratic_spec, theta0):
+    """The bundled quadratic's run on the sum of squares in len(theta0) dimensions."""
+    p = len(theta0)
 
-    def sum_of_squares(theta):
+    def evaluator(theta):
         return (theta * theta).sum(axis=-1)
 
     problem = ProblemConfig(
-        p=3,
-        loss=LossFunction(name="sum_of_squares", evaluator=sum_of_squares, dimension=3),
-        theta_star=(0.0,) * 3,
+        p=p,
+        loss=LossFunction(name="sum_of_squares", evaluator=evaluator, dimension=p),
+        theta_star=(0.0,) * p,
         sigma2=1.0,
-        theta0=(0.3, -0.2, 0.5),
+        theta0=theta0,
     )
     return replace(quadratic_spec, problem=problem)
+
+
+@pytest.fixture(scope="module")
+def sum_of_squares_spec(quadratic_spec):
+    """In three dimensions, where 2^16 // p rows are no whole number of segments."""
+    return sum_of_squares(quadratic_spec, (0.3, -0.2, 0.5))
+
+
+@pytest.fixture(scope="module")
+def sum_of_squares_12_spec(quadratic_spec):
+    """In twelve dimensions, where numpy sums a row of squared errors pairwise
+    and the harness sums the components in index order.
+    """
+    return sum_of_squares(quadratic_spec, tuple(0.3 - 0.05 * i for i in range(12)))
 
 
 def rebuilt_squared_errors(spec):
@@ -124,7 +136,9 @@ def rebuilt_squared_errors(spec):
             theta[dist.name] = theta[dist.name] - schedule.gain_a(k) * grad
             if k + 1 in spec.k_values:
                 err = theta[dist.name] - np.asarray(problem.theta_star)
-                errors[(dist.name, k + 1)] = (err * err).sum(axis=1)
+                err *= err
+                # the components in index order, as the harness sums them
+                errors[(dist.name, k + 1)] = sum(err[:, i] for i in range(problem.p))
     return errors
 
 
@@ -493,7 +507,22 @@ class TestRunExperiment:
         assert cmp.mean_diff == 0.0
         assert cmp.p_value == 0.5
 
-    @pytest.mark.parametrize("spec_name", ("quadratic_spec", "quartic_spec"))
+    def test_squared_errors_overflowing_every_row(self, quadratic_spec):
+        # at 1e154 every row's squared error is inf, so the paired difference is
+        # nan; the merge names the law and k instead of blaming the t-test, and
+        # numpy warns about nothing on the way
+        problem = replace(quadratic_spec.problem, theta0=(1e154, 1e154))
+        spec = small_spec(quadratic_spec, n_reps=100, problem=problem)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                ValueError, match="bernoulli at k=1: the squared errors overflow float64"
+            ):
+                run_experiment(spec)
+
+    @pytest.mark.parametrize(
+        "spec_name", ("quadratic_spec", "quartic_spec", "sum_of_squares_12_spec")
+    )
     def test_reproducible_and_chunk_invariant(self, request, spec_name, monkeypatch):
         spec = small_spec(request.getfixturevalue(spec_name), k_values=(1, 4), n_reps=3000)
         rebuilt = rebuilt_squared_errors(spec)
@@ -503,12 +532,13 @@ class TestRunExperiment:
         assert render_csv(run_experiment(spec)) == render_csv(baseline)
         # every worker count and block size at the default and 7-row tiles;
         # 1-row tiles cost a second per run, so they get one split
+        p = spec.problem.p
         splits = [
             (tile_words, workers, chunk_size)
-            for tile_words in TILE_WORDS[:2]
+            for tile_words in (experiments._TILE_WORDS, 7 * p)
             for workers in WORKER_COUNTS
             for chunk_size in (CHUNK_SIZE, 997, 100)
-        ] + [(TILE_WORDS[2], 3, 997)]
+        ] + [(p, 3, 997)]
         for tile_words, workers, chunk_size in splits:
             monkeypatch.setattr(experiments, "_TILE_WORDS", tile_words)
             monkeypatch.setattr(experiments, "WORKERS", workers)
