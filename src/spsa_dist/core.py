@@ -101,7 +101,8 @@ class LossFunction:
     ``formula``, when present, is the same loss written once on its p
     components, ``formula(t1, ..., tp)``, with operations that work on Python
     floats and on numpy arrays alike; :func:`spsa_run` calls it on Python
-    floats and must get the bits ``evaluator`` gives on that point.
+    floats and must get the bits ``evaluator`` gives on that point, which
+    :class:`ProblemConfig` checks at theta0.
     """
 
     name: str
@@ -219,6 +220,16 @@ class ProblemConfig:
                 raise ValueError(
                     f"theta_star is not a stationary point (gradient norm {norm:g})"
                 )
+        if self.loss.formula is not None:
+            # spsa_run calls the formula and the harness the evaluator
+            with np.errstate(over="ignore", invalid="ignore"):
+                by_formula = np.float64(self.loss.formula(*self.theta0))
+                by_evaluator = np.float64(_loss_values(self.loss.evaluator, np.array(self.theta0)))
+            if by_formula.tobytes() != by_evaluator.tobytes():
+                raise ValueError(
+                    f'loss "{self.loss.name}" at theta0: its formula gives '
+                    f"{float(by_formula)!r}, its evaluator {float(by_evaluator)!r}"
+                )
 
 
 def standard_normal_from_uniform(u):
@@ -255,17 +266,17 @@ def _loss_values(evaluator, points: np.ndarray):
     return values
 
 
-def _sp_step(evaluator, theta, shift, noise, a_k=None, out=None):
+def _sp_step(evaluator, theta, shift, noise, a_k=None):
     """The gradient estimate and, given ``a_k``, the SPSA update.
 
     ``shift`` is ``c_k * delta``, shaped like ``theta`` (..., p); it is used as
     scratch and holds the gradient estimate afterwards. Without ``a_k`` the
     estimate is returned; with it, ``theta - a_k * estimate`` is written into
-    ``out`` (which may be ``theta``) and returned. The loss difference is
-    divided into the doubled shift along the leading axes, one pass per
-    component, through transposed views of ``shift``, so ``shift`` may have
-    any memory layout. Callers check the inputs and set the floating-point
-    error state; a loss value of the wrong shape raises ValueError.
+    ``theta`` and returned. The loss difference is divided into the doubled
+    shift along the leading axes, one pass per component, through transposed
+    views of ``shift``, so ``shift`` may have any memory layout. Callers check
+    the inputs and set the floating-point error state; a loss value of the
+    wrong shape raises ValueError.
     """
     point = theta + shift
     # a new array, so ``point`` is free again even if the result is a view of it
@@ -279,7 +290,7 @@ def _sp_step(evaluator, theta, shift, noise, a_k=None, out=None):
     if a_k is None:
         return shift
     shift *= a_k
-    return np.subtract(theta, shift, out=out)
+    return np.subtract(theta, shift, out=theta)
 
 
 def sp_gradient(problem: ProblemConfig, theta, c_k: float, delta, noise) -> np.ndarray:

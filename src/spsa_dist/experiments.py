@@ -218,9 +218,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     replicates ``[j * S, (j + 1) * S)`` (the last may be shorter). The
     segments are split into ``min(n_segments, max(WORKERS, ceil(n_reps /
     CHUNK_SIZE)))`` blocks of whole segments, whose sizes differ by at most
-    one segment, run on a pool of :data:`WORKERS` threads. Every draw has an
-    absolute stream address, so neither the block sizes nor the worker count
-    changes any squared error.
+    one segment, run on a pool of :data:`WORKERS` threads. Each block opens
+    its own streams, and every draw has an absolute stream address, so neither
+    the block sizes nor the worker count changes any squared error.
 
     Each iteration of a block is law-major, in tiles of ``_TILE_WORDS // p``
     rows rounded down to whole segments: the noise draws become the scaled
@@ -318,22 +318,23 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         noise = np.empty((block_rows, 1))
         words = np.empty((block_rows, p))
         diverged = None
+        # the block's own streams, as a stream serves one thread at a time
+        noise_stream = streams.Stream(spec.master_seed, streams.NOISE_STREAM)
+        law_streams = {tag: streams.Stream(spec.master_seed, tag) for _, tag, _ in laws}
 
-        def draw(stream_tag, buffer, k):
-            streams.uniform_block(
-                spec.master_seed, stream_tag, n_reps=n, iteration=k, start=start, out=buffer
-            )
+        def draw(stream, buffer, k):
+            streams.uniform_block(stream, n_reps=n, iteration=k, start=start, out=buffer)
 
         for k in range(k_max):
             if first_failed < index:
                 return diverged
-            draw(streams.NOISE_STREAM, noise[:rows], k)
+            draw(noise_stream, noise[:rows], k)
             column = noise[:rows, 0]
             for a in range(0, rows, tile_rows):
                 u = column[a : a + tile_rows]
                 np.multiply(standard_normal_from_uniform(u), noise_scale, out=u)
             for dist, stream_tag, schedule in laws:
-                draw(stream_tag, words[:rows], k)
+                draw(law_streams[stream_tag], words[:rows], k)
                 c_k, a_k = schedule.gain_c(k), schedule.gain_a(k)
                 for a in range(0, rows, tile_rows):
                     b = min(a + tile_rows, rows)
@@ -341,7 +342,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                     # both laws' components are nonzero, so the step needs no check
                     shift = dist.deltas_from_uniforms(words[a:b])
                     shift *= c_k
-                    _sp_step(evaluator, current, shift, noise[a:b, 0], a_k, current)
+                    _sp_step(evaluator, current, shift, noise[a:b, 0], a_k)
                     if not np.isfinite(current).all():
                         r = a + int(np.flatnonzero(~np.isfinite(current).all(axis=1))[0])
                         diverged = DivergedRunError(start + r, dist.name, k)

@@ -19,13 +19,12 @@ it is handed, whose shape (rows, words_per_rep) completes its address. As
 every address is absolute, any split of the replicates into calls or workers
 gives bit-identical draws, and any one replicate can be regenerated alone.
 
-Seeding a generator costs about ten times a seek, so each thread keeps its
-last few seeded generators, one per (master_seed, stream_tag), and seeks them.
+Seeding a generator costs about ten times a seek, so a :class:`Stream` is
+opened once by its user and sought by every draw. A stream serves one thread
+at a time: each replicate block of the experiment harness opens its own.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 from numpy.random import PCG64DXSM, Generator, SeedSequence
@@ -34,6 +33,7 @@ __all__ = [
     "NOISE_STREAM",
     "BERNOULLI_STREAM",
     "SEGMENTED_UNIFORM_STREAM",
+    "Stream",
     "uniform_block",
 ]
 
@@ -41,28 +41,26 @@ NOISE_STREAM = 0
 BERNOULLI_STREAM = 1
 SEGMENTED_UNIFORM_STREAM = 2
 
-# Generators kept per thread: the three streams of two seeds.
-_MEMO_SIZE = 6
 
+class Stream:
+    """The seeded generator of (master_seed, stream_tag) and the word offset
+    it stands at; for one thread at a time.
+    """
 
-class _Generators(threading.local):
-    def __init__(self):
-        # (master_seed, stream_tag) -> (generator, word position), least
-        # recently used first
-        self.memo: dict[tuple[int, int], tuple[Generator, int]] = {}
-
-
-_generators = _Generators()
+    def __init__(self, master_seed: int, stream_tag: int):
+        self.generator = Generator(PCG64DXSM(SeedSequence((master_seed, stream_tag))))
+        self.position = 0
 
 
 def uniform_block(
-    master_seed: int, stream_tag: int, *, n_reps: int, iteration: int, start: int, out: np.ndarray
+    stream: Stream, *, n_reps: int, iteration: int, start: int, out: np.ndarray
 ) -> np.ndarray:
     """Fill ``out`` with the draws of replicates [start, start + rows) at one iteration.
 
     ``out`` is a C-contiguous float64 array of shape (rows, words_per_rep); any
-    other ``out`` raises. The words depend only on the stream address, never on
-    how the replicate range is split into calls or on their order. Returns ``out``.
+    other ``out`` raises, as does an invalid address, before ``stream`` moves.
+    The words depend only on the stream address, never on how the replicate
+    range is split into calls or on their order. Returns ``out``.
     """
     # numpy fills a Fortran-ordered out in memory order, transposing the draws
     if out.ndim != 2 or out.dtype != np.float64 or not out.flags.c_contiguous:
@@ -76,14 +74,8 @@ def uniform_block(
     if words_per_rep < 1:
         raise ValueError(f"words_per_rep must be positive, got {words_per_rep}")
     offset = words_per_rep * (iteration * n_reps + start)
-    memo = _generators.memo
-    key = (master_seed, stream_tag)
-    # taken out while in use, so a draw that raises leaves no stale position
-    gen, position = memo.pop(key, None) or (Generator(PCG64DXSM(SeedSequence(key))), 0)
     # advance wraps modulo 2**128, so a negative distance seeks backwards
-    gen.bit_generator.advance(offset - position)
-    gen.random(out=out)
-    memo[key] = (gen, offset + out.size)
-    if len(memo) > _MEMO_SIZE:
-        del memo[next(iter(memo))]
+    stream.generator.bit_generator.advance(offset - stream.position)
+    stream.generator.random(out=out)
+    stream.position = offset + out.size
     return out

@@ -241,6 +241,33 @@ class TestProblemConfig:
                 )
         assert str(info.value) == "theta_star is not a stationary point (gradient norm inf)"
 
+    def test_formula_that_disagrees_with_the_evaluator_is_refused(self):
+        # spsa_run would step the quartic and the harness the quadratic
+        quadratic, quartic = get_loss("quadratic_4_1"), get_loss("quartic_4_2")
+        mixed = dataclasses.replace(quadratic, name="mixed", formula=quartic.formula)
+        with pytest.raises(ValueError) as info:
+            ProblemConfig(p=2, loss=mixed, theta_star=(0, 0), sigma2=0.0, theta0=(0.3, 0.3))
+        assert str(info.value) == (
+            f'loss "mixed" at theta0: its formula gives {quartic.formula(0.3, 0.3)!r}, '
+            f"its evaluator {quadratic.formula(0.3, 0.3)!r}"
+        )
+
+    def test_formula_and_evaluator_are_compared_by_their_bits(self):
+        def loss(value):
+            def evaluator(theta):
+                return np.full(np.shape(theta)[:-1], value)
+
+            return LossFunction("constant", evaluator, dimension=1, formula=lambda t1: value)
+
+        # a NaN is the same bits as itself
+        ProblemConfig(p=1, loss=loss(math.nan), theta_star=(0,), sigma2=0.0, theta0=(1,))
+        signed_zero = dataclasses.replace(loss(0.0), formula=lambda t1: -0.0)
+        with pytest.raises(ValueError) as info:
+            ProblemConfig(p=1, loss=signed_zero, theta_star=(0,), sigma2=0.0, theta0=(1,))
+        assert str(info.value) == (
+            'loss "constant" at theta0: its formula gives -0.0, its evaluator 0.0'
+        )
+
 
 class TestStandardNormalFromUniform:
     def test_noise_statistics(self):

@@ -1,5 +1,6 @@
 import math
 import platform
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -37,6 +38,7 @@ LAWS = (
     (BERNOULLI, streams.BERNOULLI_STREAM),
     (SEGMENTED_UNIFORM, streams.SEGMENTED_UNIFORM_STREAM),
 )
+STREAM_TAGS = (streams.NOISE_STREAM, *(tag for _, tag in LAWS))
 # float64 words per row tile of a block step: the default, and 7- and 1-row
 # tiles at p = 2
 TILE_WORDS = (experiments._TILE_WORDS, 14, 2)
@@ -115,13 +117,13 @@ def rebuilt_squared_errors(spec):
     noise_scale = math.sqrt(2.0 * problem.sigma2)
     schedules = {"bernoulli": spec.schedule_bern, "segmented_uniform": spec.schedule_su}
     theta = {dist.name: np.tile(problem.theta0, (n, 1)) for dist, _ in LAWS}
+    opened = {tag: streams.Stream(spec.master_seed, tag) for tag in STREAM_TAGS}
     errors = {}
     for k in range(spec.k_values[-1]):
 
         def draw(stream_tag, words_per_rep):
             return streams.uniform_block(
-                spec.master_seed,
-                stream_tag,
+                opened[stream_tag],
                 n_reps=n,
                 iteration=k,
                 start=0,
@@ -219,8 +221,7 @@ def diverging_rows(spec, dist, stream_tag, iteration=0):
     :func:`cliff_spec`, given that their iterate is still at theta0 = (1, 1).
     """
     u = streams.uniform_block(
-        spec.master_seed,
-        stream_tag,
+        streams.Stream(spec.master_seed, stream_tag),
         n_reps=spec.n_reps,
         iteration=iteration,
         start=0,
@@ -563,6 +564,7 @@ class TestRunExperiment:
         rebuilt = rebuilt_squared_errors(spec)
         problem = spec.problem
         noise_scale = math.sqrt(2.0 * problem.sigma2)
+        opened = {tag: streams.Stream(spec.master_seed, tag) for tag in STREAM_TAGS}
         for replicate in range(spec.n_reps):
             theta = {
                 "bernoulli": np.asarray(problem.theta0),
@@ -576,8 +578,7 @@ class TestRunExperiment:
             schedules = {"bernoulli": spec.schedule_bern, "segmented_uniform": spec.schedule_su}
             for k in range(3):
                 u_noise = streams.uniform_block(
-                    spec.master_seed,
-                    streams.NOISE_STREAM,
+                    opened[streams.NOISE_STREAM],
                     n_reps=spec.n_reps,
                     iteration=k,
                     start=replicate,
@@ -586,8 +587,7 @@ class TestRunExperiment:
                 noise = noise_scale * standard_normal_from_uniform(u_noise)
                 for name, dist in dists.items():
                     u_pert = streams.uniform_block(
-                        spec.master_seed,
-                        tags[name],
+                        opened[tags[name]],
                         n_reps=spec.n_reps,
                         iteration=k,
                         start=replicate,
@@ -819,6 +819,27 @@ class TestRunExperiment:
             run_experiment, small_spec(quadratic_spec, k_values=tuple(range(1, 21)), n_reps=n)
         )
         assert twenty_k - one_k <= 8 * n
+
+    def test_blocks_switching_threads_often_match_one_worker(self, quadratic_spec, monkeypatch):
+        # Each block opens its own streams. Were one set shared by the blocks,
+        # a thread switch between one block's seek and its fill would hand it
+        # the words of another block's address.
+        monkeypatch.setattr(experiments, "_SEGMENT_ROWS", 64)
+        spec = small_spec(quadratic_spec, k_values=(1, 40), n_reps=4096)
+        monkeypatch.setattr(experiments, "WORKERS", 1)
+        serial = run_experiment(spec)
+        # 64 segments: four blocks of 16
+        monkeypatch.setattr(experiments, "WORKERS", 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [run_experiment(spec) for _ in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+        for threaded in runs:
+            assert threaded.estimates == serial.estimates
+            assert threaded.comparisons == serial.comparisons
+            assert render_csv(threaded) == render_csv(serial)
 
     @pytest.mark.parametrize("spec_name", ("quadratic_spec", "quartic_spec", "sum_of_squares_spec"))
     def test_split_invariant_with_small_segments(self, request, spec_name, monkeypatch):

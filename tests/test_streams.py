@@ -20,10 +20,22 @@ def oracle(seed, tag, *, iteration, start, stop, words_per_rep=WORDS):
     return words[first:].reshape(stop - start, words_per_rep)
 
 
+_local = threading.local()
+
+
+def opened(seed, tag):
+    """This thread's one stream (seed, tag): every draw of the thread seeks it
+    from where the last one left it, also across tests."""
+    owned = _local.__dict__.setdefault("streams", {})
+    if (seed, tag) not in owned:
+        owned[(seed, tag)] = streams.Stream(seed, tag)
+    return owned[(seed, tag)]
+
+
 def block(seed, tag, *, iteration, start, stop):
     out = np.empty((stop - start, WORDS))
     return streams.uniform_block(
-        seed, tag, n_reps=N_REPS, iteration=iteration, start=start, out=out
+        opened(seed, tag), n_reps=N_REPS, iteration=iteration, start=start, out=out
     )
 
 
@@ -71,7 +83,7 @@ def test_threads_at_once_each_get_the_addressed_draws():
         oracle(seed, tag, iteration=k, start=start, stop=stop)
         for seed, tag, k, start, stop in calls
     ]
-    # more threads than cores, each walking the same streams in its own order
+    # more threads than cores, each walking its own streams in its own order
     orders = [np.random.default_rng(i).permutation(len(calls)) for i in range(4)]
     barrier = threading.Barrier(len(orders))
     mismatches = []
@@ -112,27 +124,33 @@ def test_invalid_replicate_range_raises(start, rows):
 def test_invalid_address_raises(words_per_rep, iteration, message):
     with pytest.raises(ValueError, match=message):
         streams.uniform_block(
-            1, 0, n_reps=N_REPS, iteration=iteration, start=0, out=np.empty((2, words_per_rep))
+            opened(1, 0),
+            n_reps=N_REPS,
+            iteration=iteration,
+            start=0,
+            out=np.empty((2, words_per_rep)),
         )
 
 
 def test_a_failed_draw_leaves_later_draws_addressed():
     block(7, 0, iteration=1, start=0, stop=4)
+    stream = opened(7, 0)
+    position = stream.position
     with pytest.raises(ValueError):
         # a zero word count fails before the seek
-        streams.uniform_block(7, 0, n_reps=N_REPS, iteration=0, start=0, out=np.empty((2, 0)))
+        streams.uniform_block(stream, n_reps=N_REPS, iteration=0, start=0, out=np.empty((2, 0)))
+    assert stream.position == position
     got = block(7, 0, iteration=1, start=4, stop=9)
     assert got.tobytes() == oracle(7, 0, iteration=1, start=4, stop=9).tobytes()
 
 
-def test_generator_memo_stays_bounded():
-    for seed in range(100):
-        block(seed, 1, iteration=0, start=0, stop=1)
-    assert len(streams._generators.memo) == streams._MEMO_SIZE
-    # an evicted stream is seeded again, from its first word
-    assert block(0, 1, iteration=2, start=3, stop=5).tobytes() == (
-        oracle(0, 1, iteration=2, start=3, stop=5).tobytes()
-    )
+def test_a_new_stream_starts_at_word_zero():
+    stream = streams.Stream(2**64 - 1, streams.SEGMENTED_UNIFORM_STREAM)
+    assert stream.position == 0
+    out = streams.uniform_block(stream, n_reps=N_REPS, iteration=2, start=3, out=np.empty((2, 1)))
+    assert stream.position == (2 * N_REPS + 3) + 2  # the word after the draw
+    want = oracle(2**64 - 1, 2, iteration=2, start=3, stop=5, words_per_rep=1)
+    assert out.tobytes() == want.tobytes()
 
 
 def test_out_gets_the_same_words_under_any_partition():
@@ -146,8 +164,7 @@ def test_out_gets_the_same_words_under_any_partition():
             for a, b in zip(cuts, cuts[1:]):
                 out = buffer[a:b]
                 got = streams.uniform_block(
-                    9,
-                    streams.SEGMENTED_UNIFORM_STREAM,
+                    opened(9, streams.SEGMENTED_UNIFORM_STREAM),
                     n_reps=N_REPS,
                     iteration=iteration,
                     start=a,
@@ -163,7 +180,7 @@ def test_out_of_any_shape_gets_the_addressed_words():
             for start in sorted({0, (N_REPS - rows) // 2, N_REPS - rows}):
                 out = np.full((rows, words), np.nan)
                 assert streams.uniform_block(
-                    4, 2, n_reps=N_REPS, iteration=3, start=start, out=out
+                    opened(4, 2), n_reps=N_REPS, iteration=3, start=start, out=out
                 ) is out
                 want = oracle(
                     4, 2, iteration=3, start=start, stop=start + rows, words_per_rep=words
@@ -182,7 +199,7 @@ def test_row_slices_of_a_larger_buffer_get_the_addressed_words():
         tail = buffer[rows:].tobytes()
         out = buffer[:rows]
         assert streams.uniform_block(
-            6, 0, n_reps=N_REPS, iteration=iteration, start=start, out=out
+            opened(6, 0), n_reps=N_REPS, iteration=iteration, start=start, out=out
         ) is out
         want = oracle(6, 0, iteration=iteration, start=start, stop=start + rows)
         assert out.tobytes() == want.tobytes()
@@ -203,9 +220,9 @@ def test_row_slices_of_a_larger_buffer_get_the_addressed_words():
 def test_a_wrong_out_raises_and_later_draws_stay_addressed(out):
     block(8, 1, iteration=0, start=0, stop=3)
     with pytest.raises(ValueError, match="out must be a 2-D, C-contiguous float64 array"):
-        streams.uniform_block(8, 1, n_reps=N_REPS, iteration=1, start=2, out=out)
+        streams.uniform_block(opened(8, 1), n_reps=N_REPS, iteration=1, start=2, out=out)
     buffer = np.empty((4, WORDS))
-    streams.uniform_block(8, 1, n_reps=N_REPS, iteration=1, start=6, out=buffer)
+    streams.uniform_block(opened(8, 1), n_reps=N_REPS, iteration=1, start=6, out=buffer)
     assert buffer.tobytes() == oracle(8, 1, iteration=1, start=6, stop=10).tobytes()
     assert block(8, 1, iteration=0, start=3, stop=5).tobytes() == (
         oracle(8, 1, iteration=0, start=3, stop=5).tobytes()
