@@ -223,7 +223,12 @@ class ProblemConfig:
         if self.loss.formula is not None:
             # spsa_run calls the formula and the harness the evaluator
             with np.errstate(over="ignore", invalid="ignore"):
-                by_formula = np.float64(self.loss.formula(*self.theta0))
+                try:
+                    by_formula = np.float64(self.loss.formula(*self.theta0))
+                except ArithmeticError as error:
+                    raise ValueError(
+                        f'loss "{self.loss.name}" at theta0: its formula raised {error!r}'
+                    ) from error
                 by_evaluator = np.float64(_loss_values(self.loss.evaluator, np.array(self.theta0)))
             if by_formula.tobytes() != by_evaluator.tobytes():
                 raise ValueError(

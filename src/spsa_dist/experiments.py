@@ -34,7 +34,6 @@ from .core import ProblemConfig, GainSchedule, _sp_step, standard_normal_from_un
 from .perturbations import BERNOULLI, SEGMENTED_UNIFORM
 
 __all__ = [
-    "CHUNK_SIZE",
     "WORKERS",
     "PAIRING_NOTE",
     "T_TEST_NOTE",
@@ -52,7 +51,10 @@ __all__ = [
     "write_csv",
 ]
 
-CHUNK_SIZE = 1 << 18
+# Float64 words a block's (rows, p) buffer may hold, to within one segment, and
+# the array whose free lifts glibc's mmap threshold to 4 MiB: one number, so a
+# full block's buffers fall under the lifted threshold and stay reusable heap.
+_BLOCK_WORDS = 1 << 19
 # Replicates per moment segment: segment j holds rows [j * S, (j + 1) * S).
 _SEGMENT_ROWS = 1 << 8
 # Float64 words per row tile of a block step: each (rows, p) temporary of a
@@ -216,11 +218,12 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
 
     The replicates fall into segments of ``_SEGMENT_ROWS``, segment j holding
     replicates ``[j * S, (j + 1) * S)`` (the last may be shorter). The
-    segments are split into ``min(n_segments, max(WORKERS, ceil(n_reps /
-    CHUNK_SIZE)))`` blocks of whole segments, whose sizes differ by at most
-    one segment, run on a pool of :data:`WORKERS` threads. Each block opens
-    its own streams, and every draw has an absolute stream address, so neither
-    the block sizes nor the worker count changes any squared error.
+    segments are split into ``min(n_segments, max(WORKERS, ceil(n_reps * p /
+    _BLOCK_WORDS)))`` blocks of whole segments, whose sizes differ by at most
+    one segment, so a block's (rows, p) buffer holds fewer than ``_BLOCK_WORDS``
+    plus one segment's words; :data:`WORKERS` threads run them. Each block
+    opens its own streams, and every draw has an absolute stream address, so
+    neither the block sizes nor the worker count changes any squared error.
 
     Each iteration of a block is law-major, in tiles of ``_TILE_WORDS // p``
     rows rounded down to whole segments: the noise draws become the scaled
@@ -234,8 +237,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     summation of 8 or more terms. The segments then combine in
     one fixed sum, so every result is the same bits under any split. Besides
     tile-sized temporaries, a block holds 3p + 1 float64 per row (two
-    iterates, the noise and the words), so memory is O(workers x block x p +
-    n_reps / _SEGMENT_ROWS x len(k_values)).
+    iterates, the noise and the words), so memory is O(workers x _BLOCK_WORDS
+    + n_reps / _SEGMENT_ROWS x len(k_values)).
 
     A non-finite iterate aborts the whole experiment with a
     :class:`DivergedRunError` naming the smallest diverging replicate, its
@@ -276,7 +279,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     # any block starts, so a size the machine refuses fails at once.
     table = np.empty((n_segments, n_k, 3, 2))
 
-    n_blocks = min(n_segments, max(WORKERS, -(-n // CHUNK_SIZE)))
+    n_blocks = min(n_segments, max(WORKERS, -(-n * p // _BLOCK_WORDS)))
     edges = [min(n, index * n_segments // n_blocks * segment) for index in range(n_blocks + 1)]
     # Every block sizes its buffers for the largest block, so a block can
     # reuse the heap chunks that an earlier one freed.
@@ -387,7 +390,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     # place of 5e3 minor faults per run at 10^6 replicates, k <= 10, on the
     # bundled quadratic). Freeing one mapped 4 MiB array moves glibc's
     # thresholds to 4 MiB (mmap) and 8 MiB (trim).
-    np.empty(1 << 19)
+    np.empty(_BLOCK_WORDS)
     with ThreadPoolExecutor(max_workers=min(WORKERS, n_blocks)) as pool:
         futures = [pool.submit(run_block, index) for index in range(n_blocks)]
         try:

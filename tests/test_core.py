@@ -268,6 +268,25 @@ class TestProblemConfig:
             'loss "constant" at theta0: its formula gives -0.0, its evaluator 0.0'
         )
 
+    @pytest.mark.parametrize(
+        "formula, theta0, raised",
+        (
+            # Python's float power raises where numpy's gives inf
+            (lambda t1: t1**2, 1e200, OverflowError),
+            (lambda t1: 1.0 / t1, 0.0, ZeroDivisionError),
+        ),
+        ids=("overflow", "zero_division"),
+    )
+    def test_formula_that_raises_at_theta0_is_one_error(self, formula, theta0, raised):
+        # the command line turns a ValueError, and only that, into a one-line error
+        loss = LossFunction("pow", lambda t: t[..., 0] ** 2, dimension=1, formula=formula)
+        with pytest.raises(ValueError) as info:
+            ProblemConfig(p=1, loss=loss, theta_star=(0,), sigma2=0.0, theta0=(theta0,))
+        assert type(info.value.__cause__) is raised
+        assert str(info.value) == (
+            f'loss "pow" at theta0: its formula raised {info.value.__cause__!r}'
+        )
+
 
 class TestStandardNormalFromUniform:
     def test_noise_statistics(self):

@@ -21,7 +21,6 @@ from spsa_dist.core import (
     standard_normal_from_uniform,
 )
 from spsa_dist.experiments import (
-    CHUNK_SIZE,
     DivergedRunError,
     ExperimentSpec,
     compare_with_theory,
@@ -42,6 +41,9 @@ STREAM_TAGS = (streams.NOISE_STREAM, *(tag for _, tag in LAWS))
 # float64 words per row tile of a block step: the default, and 7- and 1-row
 # tiles at p = 2
 TILE_WORDS = (experiments._TILE_WORDS, 14, 2)
+# float64 words per block buffer, the default; a test that forces a split sets
+# it to the block rows it wants times p
+BLOCK_WORDS = experiments._BLOCK_WORDS
 
 
 def small_spec(quadratic_spec, *, k_values=(1,), n_reps=2000, **overrides):
@@ -255,26 +257,43 @@ def sparse_cliff_spec(quadratic_spec, *, master_seed):
     return replace(spec, schedule_su=GainSchedule(a=0.1, c=0.6))
 
 
-def diverging_report(spec, monkeypatch, chunk_sizes):
+def diverging_report(spec, monkeypatch, block_rows):
     """The (replicate, law, iteration) tuples that :func:`run_experiment` reports
-    for ``spec`` under each chunk size, worker count and row tile size.
+    for ``spec`` under the default block budget and a budget of each of
+    ``block_rows`` rows, each worker count and row tile size.
 
-    Blocks are made of whole segments, so one-row segments let the chunk
-    sizes split the replicates into blocks of that many rows.
+    Blocks are made of whole segments, so one-row segments let a budget of
+    rows x p words split the replicates into blocks of that many rows.
     """
     monkeypatch.setattr(experiments, "_SEGMENT_ROWS", 1)
+    p = spec.problem.p
     reports = set()
     for tile_words in TILE_WORDS:
         monkeypatch.setattr(experiments, "_TILE_WORDS", tile_words)
         for workers in WORKER_COUNTS:
             monkeypatch.setattr(experiments, "WORKERS", workers)
-            for chunk_size in chunk_sizes:
-                monkeypatch.setattr(experiments, "CHUNK_SIZE", chunk_size)
+            for block_words in (BLOCK_WORDS, *(rows * p for rows in block_rows)):
+                monkeypatch.setattr(experiments, "_BLOCK_WORDS", block_words)
                 with pytest.raises(DivergedRunError) as info:
                     run_experiment(spec)
                 err = info.value
                 reports.add((err.replicate, err.distribution, err.iteration))
     return reports
+
+
+def spied_draws(monkeypatch):
+    """The set that collects the (start, stop) rows of every stream draw from
+    here on: one pair per block, as a block draws all its rows at once.
+    """
+    calls = set()
+    uniform_block = streams.uniform_block
+
+    def spy(*args, start, out, **kwargs):
+        calls.add((start, start + len(out)))
+        return uniform_block(*args, start=start, out=out, **kwargs)
+
+    monkeypatch.setattr(streams, "uniform_block", spy)
+    return calls
 
 
 def cliff_hits(spec):
@@ -527,7 +546,7 @@ class TestRunExperiment:
     def test_reproducible_and_chunk_invariant(self, request, spec_name, monkeypatch):
         spec = small_spec(request.getfixturevalue(spec_name), k_values=(1, 4), n_reps=3000)
         rebuilt = rebuilt_squared_errors(spec)
-        # one-row segments, so that a chunk size of 100 makes 100-row blocks
+        # one-row segments, so that a budget of 100 x p words makes 100-row blocks
         monkeypatch.setattr(experiments, "_SEGMENT_ROWS", 1)
         baseline = run_experiment(spec)
         assert render_csv(run_experiment(spec)) == render_csv(baseline)
@@ -535,15 +554,15 @@ class TestRunExperiment:
         # 1-row tiles cost a second per run, so they get one split
         p = spec.problem.p
         splits = [
-            (tile_words, workers, chunk_size)
+            (tile_words, workers, block_words)
             for tile_words in (experiments._TILE_WORDS, 7 * p)
             for workers in WORKER_COUNTS
-            for chunk_size in (CHUNK_SIZE, 997, 100)
-        ] + [(p, 3, 997)]
-        for tile_words, workers, chunk_size in splits:
+            for block_words in (BLOCK_WORDS, 997 * p, 100 * p)
+        ] + [(p, 3, 997 * p)]
+        for tile_words, workers, block_words in splits:
             monkeypatch.setattr(experiments, "_TILE_WORDS", tile_words)
             monkeypatch.setattr(experiments, "WORKERS", workers)
-            monkeypatch.setattr(experiments, "CHUNK_SIZE", chunk_size)
+            monkeypatch.setattr(experiments, "_BLOCK_WORDS", block_words)
             blocked, harvested = harvested_squared_errors(spec, monkeypatch)
             for key, values in rebuilt.items():
                 assert np.array_equal(values, harvested[key])
@@ -639,13 +658,13 @@ class TestRunExperiment:
         # `first` diverges
         assert first > 0
         assert diverging_rows(spec, SEGMENTED_UNIFORM, streams.SEGMENTED_UNIFORM_STREAM)[0] >= first
-        assert diverging_report(spec, monkeypatch, (CHUNK_SIZE, first, 5, 1)) == {
+        assert diverging_report(spec, monkeypatch, (first, 5, 1)) == {
             (first, "bernoulli", 0)
         }
 
     def test_divergence_report_ignores_chunking(self, quadratic_spec, monkeypatch):
         # replicate 1 diverges under the segmented uniform and replicate 5 under
-        # the Bernoulli law, so a chunk holding both must still name 1
+        # the Bernoulli law, so a block holding both must still name 1
         def scenario(spec):
             su = diverging_rows(spec, SEGMENTED_UNIFORM, streams.SEGMENTED_UNIFORM_STREAM)
             bern = diverging_rows(spec, BERNOULLI, streams.BERNOULLI_STREAM)
@@ -654,7 +673,7 @@ class TestRunExperiment:
         spec = smallest_seed(lambda seed: cliff_spec(quadratic_spec, master_seed=seed), scenario)
         assert diverging_rows(spec, SEGMENTED_UNIFORM, streams.SEGMENTED_UNIFORM_STREAM)[0] == 1
         assert diverging_rows(spec, BERNOULLI, streams.BERNOULLI_STREAM)[0] == 5
-        assert diverging_report(spec, monkeypatch, (CHUNK_SIZE, 5, 1)) == {
+        assert diverging_report(spec, monkeypatch, (5, 1)) == {
             (1, "segmented_uniform", 0)
         }
 
@@ -680,7 +699,7 @@ class TestRunExperiment:
         # row, and the segmented uniform steps the rows before the cut cleanly
         assert first > tile and first % tile > 0
         assert su.size == 0 or su[0] > first
-        assert diverging_report(spec, monkeypatch, (CHUNK_SIZE, 5, 1)) == {
+        assert diverging_report(spec, monkeypatch, (5, 1)) == {
             (first, "bernoulli", 0)
         }
 
@@ -707,7 +726,7 @@ class TestRunExperiment:
         # law, stepping first, cuts it at `bern`, and the segmented uniform then
         # diverges at the smaller row `su` of what is left
         assert tile < su < bern and su % tile > 0 and su // tile == bern // tile
-        assert diverging_report(spec, monkeypatch, (CHUNK_SIZE, 5, 1)) == {
+        assert diverging_report(spec, monkeypatch, (5, 1)) == {
             (su, "segmented_uniform", 0)
         }
 
@@ -728,7 +747,7 @@ class TestRunExperiment:
         # cuts the block at `bern`; the segmented uniform then diverges at
         # `su`, in an earlier tile than the cut
         assert 0 < su and su // tile < bern // tile
-        assert diverging_report(spec, monkeypatch, (CHUNK_SIZE, 5, 1)) == {
+        assert diverging_report(spec, monkeypatch, (5, 1)) == {
             (su, "segmented_uniform", 0)
         }
 
@@ -740,7 +759,7 @@ class TestRunExperiment:
         assert 3 in hits[(0, "bernoulli")]
         assert [key for key, rows in hits.items() if 2 in rows] == [(5, "segmented_uniform")]
         assert not any(rows & {0, 1} for rows in hits.values())
-        assert diverging_report(spec, monkeypatch, (CHUNK_SIZE, 5, 1)) == {
+        assert diverging_report(spec, monkeypatch, (5, 1)) == {
             (2, "segmented_uniform", 5)
         }
 
@@ -748,7 +767,7 @@ class TestRunExperiment:
         # one worker: with more, the rows of a block after the failing one are
         # evaluated as well until that block sees the failure
         monkeypatch.setattr(experiments, "WORKERS", 1)
-        # one-row segments, so that a chunk size of 100 makes 100-row blocks
+        # one-row segments, so that a budget of 100 x p words makes 100-row blocks
         monkeypatch.setattr(experiments, "_SEGMENT_ROWS", 1)
         spec = frozen_cliff_spec
         cliff = spec.problem.loss.evaluator
@@ -760,8 +779,8 @@ class TestRunExperiment:
 
         loss = LossFunction(name="counting_cliff", evaluator=counting, dimension=2)
         # one block, then two of 100 rows: the second stops before its first step
-        for chunk_size, first_block in ((CHUNK_SIZE, spec.n_reps), (100, 100)):
-            monkeypatch.setattr(experiments, "CHUNK_SIZE", chunk_size)
+        for block_words, first_block in ((BLOCK_WORDS, spec.n_reps), (100 * spec.problem.p, 100)):
+            monkeypatch.setattr(experiments, "_BLOCK_WORDS", block_words)
             batch_rows.clear()
             with pytest.raises(DivergedRunError):
                 run_experiment(replace(spec, problem=replace(spec.problem, loss=loss)))
@@ -843,58 +862,68 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("spec_name", ("quadratic_spec", "quartic_spec", "sum_of_squares_spec"))
     def test_split_invariant_with_small_segments(self, request, spec_name, monkeypatch):
-        # 64-row segments, 47 of them, the last one 56 rows: 997-row chunks
-        # make blocks of 11 or 12 segments, and 20- and 7-row chunks make 47
+        # 64-row segments, 47 of them, the last one 56 rows: budgets of 997
+        # rows make blocks of 11 or 12 segments, and of 20 and 7 rows 47
         # blocks of one segment each; 14-word tiles round up to one whole
         # segment, and at p = 3 the 21845-row default tiles round down to 341
         # segments
         monkeypatch.setattr(experiments, "_SEGMENT_ROWS", 64)
         spec = small_spec(request.getfixturevalue(spec_name), k_values=(1, 4), n_reps=3000)
+        p = spec.problem.p
         baseline = run_experiment(spec)
         text = render_csv(baseline)
-        for tile_words, workers, chunk_size in (
-            (TILE_WORDS[0], 1, CHUNK_SIZE),
-            (TILE_WORDS[0], 2, CHUNK_SIZE),
-            (TILE_WORDS[0], 3, 997),
-            (TILE_WORDS[1], 2, 20),
-            (TILE_WORDS[0], 3, 7),
+        for tile_words, workers, block_words in (
+            (TILE_WORDS[0], 1, BLOCK_WORDS),
+            (TILE_WORDS[0], 2, BLOCK_WORDS),
+            (TILE_WORDS[0], 3, 997 * p),
+            (TILE_WORDS[1], 2, 20 * p),
+            (TILE_WORDS[0], 3, 7 * p),
         ):
             monkeypatch.setattr(experiments, "_TILE_WORDS", tile_words)
             monkeypatch.setattr(experiments, "WORKERS", workers)
-            monkeypatch.setattr(experiments, "CHUNK_SIZE", chunk_size)
+            monkeypatch.setattr(experiments, "_BLOCK_WORDS", block_words)
             blocked = run_experiment(spec)
             assert blocked.estimates == baseline.estimates
             assert blocked.comparisons == baseline.comparisons
             assert render_csv(blocked) == text
 
     def test_blocks_are_whole_segments(self, quadratic_spec, monkeypatch):
-        calls = []
-        uniform_block = streams.uniform_block
-
-        def spy(*args, start, out, **kwargs):
-            calls.append((start, start + len(out)))
-            return uniform_block(*args, start=start, out=out, **kwargs)
-
-        monkeypatch.setattr(streams, "uniform_block", spy)
+        calls = spied_draws(monkeypatch)
         # 79 segments of 256 rows, the last one 32: two workers take 39 and 40
         monkeypatch.setattr(experiments, "WORKERS", 2)
         run_experiment(small_spec(quadratic_spec, n_reps=20_000))
-        assert sorted(set(calls)) == [(0, 9984), (9984, 20_000)]
+        assert sorted(calls) == [(0, 9984), (9984, 20_000)]
         segment = experiments._SEGMENT_ROWS
+        p = quadratic_spec.problem.p
         for workers in WORKER_COUNTS:
-            for chunk_size in (997, 7):
+            for block_rows in (997, 7):
                 monkeypatch.setattr(experiments, "WORKERS", workers)
-                monkeypatch.setattr(experiments, "CHUNK_SIZE", chunk_size)
+                monkeypatch.setattr(experiments, "_BLOCK_WORDS", block_rows * p)
                 calls.clear()
                 run_experiment(small_spec(quadratic_spec, n_reps=3000))
-                blocks = sorted(set(calls))
+                blocks = sorted(calls)
                 assert blocks[0][0] == 0 and blocks[-1][1] == 3000
                 assert all(start % segment == 0 for start, _ in blocks)
                 assert all(stop == start for (_, stop), (start, _) in zip(blocks, blocks[1:]))
 
+    def test_block_cap_follows_p(self, quadratic_spec, monkeypatch):
+        calls = spied_draws(monkeypatch)
+        monkeypatch.setattr(experiments, "WORKERS", 2)
+        p = 40
+        spec = sum_of_squares(quadratic_spec, tuple(0.3 - 0.01 * i for i in range(p)))
+        run_experiment(small_spec(spec, n_reps=100_000))
+        # 4 * 10^6 words make 8 blocks of 48 or 49 segments, at most 12 544
+        # rows; a cap of 2^18 rows whatever p made two blocks of 50 000
+        blocks = sorted(calls)
+        assert len(blocks) == 8
+        assert blocks[0][0] == 0 and blocks[-1][1] == 100_000
+        assert all(stop == start for (_, stop), (start, _) in zip(blocks, blocks[1:]))
+        budget = experiments._BLOCK_WORDS + experiments._SEGMENT_ROWS * p
+        assert all((stop - start) * p <= budget for start, stop in blocks)
+
     def test_merged_moments_match_two_pass(self, quadratic_spec, monkeypatch):
-        monkeypatch.setattr(experiments, "CHUNK_SIZE", 997)
         spec = small_spec(quadratic_spec, k_values=(1, 3), n_reps=20_001)
+        monkeypatch.setattr(experiments, "_BLOCK_WORDS", 997 * spec.problem.p)
         result = run_experiment(spec)
         rebuilt = rebuilt_squared_errors(spec)
         root_n = math.sqrt(spec.n_reps)
