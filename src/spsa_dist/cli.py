@@ -90,6 +90,8 @@ def _cmd_moments(args) -> int:
     dist = from_name(args.name)
     if args.draws < 2:
         raise _UsageError("--draws must be at least 2")
+    if args.seed < 0:
+        raise _UsageError("--seed must be a nonnegative integer")
     rng = np.random.default_rng(args.seed)
     x = dist.sample_array(rng, args.draws)
     y = dist.sample_array(rng, args.draws)

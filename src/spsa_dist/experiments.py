@@ -242,10 +242,11 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
 
     A non-finite iterate aborts the whole experiment with a
     :class:`DivergedRunError` naming the smallest diverging replicate, its
-    first iteration and law: silent dropping would bias the estimates. Any
-    other exception raised in a block stops the other blocks and reaches the
-    caller unchanged. A law whose shift c_k * delta can round to 0 for some
-    k < k_max raises ValueError before anything is allocated.
+    first iteration and law (silent dropping would bias the estimates):
+    every block steps only the rows below the smallest diverging replicate
+    found so far. Any other exception raised in a block stops the other
+    blocks and reaches the caller unchanged. A shift c_k * delta that can
+    round to 0 for some k < k_max raises ValueError before any allocation.
     """
     # Fixed processing order; also the row order of the output tables.
     laws = (
@@ -286,32 +287,32 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     block_rows = max(stop - start for start, stop in zip(edges, edges[1:]))
     # whole segments, so that each tile writes the moments of its own segments
     tile_rows = max(1, _TILE_WORDS // p // segment) * segment
-    # Index of the lowest block that has diverged, or -1 once a block raised;
-    # a block stops at its next iteration when this falls below its own index.
-    first_failed = n_blocks
+    # The smallest diverging replicate found so far (-1 once a block raised)
+    # and the error that names it: every block steps only the rows below it.
+    limit, first = n, None
     lock = threading.Lock()
 
-    def fail(index: int) -> None:
-        nonlocal first_failed
+    def stop_at(row: int, error: DivergedRunError | None = None) -> None:
+        nonlocal limit, first
         with lock:
-            first_failed = min(first_failed, index)
+            if row < limit:
+                limit, first = row, error
 
-    def run_block(index: int):
+    def run_block(index: int) -> None:
         try:
             # one error state per block: an overflow or inf - inf shows as a
             # non-finite iterate or squared error, and both are checked
             with np.errstate(over="ignore", invalid="ignore"):
-                return step_block(index)
+                step_block(index)
         except BaseException:
-            fail(-1)
+            stop_at(-1)
             raise
 
-    def step_block(index: int):
-        """Step one block, writing its segments' moments into ``table``;
-        return its divergence record, or None.
+    def step_block(index: int) -> None:
+        """Step one block's rows below ``limit``, writing its segments'
+        moments into ``table`` while no replicate has diverged.
         """
         start, stop = edges[index], edges[index + 1]
-        rows = stop - start
         theta = {dist.name: np.tile(theta0, (block_rows, 1)) for dist, _, _ in laws}
         # The noise buffer becomes the scaled noise difference of each row,
         # and the one words buffer is refilled with each law's draws in turn.
@@ -320,7 +321,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         # back in at the next iteration).
         noise = np.empty((block_rows, 1))
         words = np.empty((block_rows, p))
-        diverged = None
         # the block's own streams, as a stream serves one thread at a time
         noise_stream = streams.Stream(spec.master_seed, streams.NOISE_STREAM)
         law_streams = {tag: streams.Stream(spec.master_seed, tag) for _, tag, _ in laws}
@@ -329,14 +329,19 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             streams.uniform_block(stream, n_reps=n, iteration=k, start=start, out=buffer)
 
         for k in range(k_max):
-            if first_failed < index:
-                return diverged
+            rows = min(stop, limit) - start
+            if rows <= 0:
+                return
             draw(noise_stream, noise[:rows], k)
             column = noise[:rows, 0]
             for a in range(0, rows, tile_rows):
                 u = column[a : a + tile_rows]
                 np.multiply(standard_normal_from_uniform(u), noise_scale, out=u)
             for dist, stream_tag, schedule in laws:
+                # a divergence in this block or a lower one since the last clamp
+                rows = min(rows, limit - start)
+                if rows <= 0:
+                    return
                 draw(law_streams[stream_tag], words[:rows], k)
                 c_k, a_k = schedule.gain_c(k), schedule.gain_a(k)
                 for a in range(0, rows, tile_rows):
@@ -347,18 +352,11 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                     shift *= c_k
                     _sp_step(evaluator, current, shift, noise[a:b, 0], a_k)
                     if not np.isfinite(current).all():
-                        r = a + int(np.flatnonzero(~np.isfinite(current).all(axis=1))[0])
-                        diverged = DivergedRunError(start + r, dist.name, k)
-                        fail(index)
-                        if r == 0:
-                            return diverged
-                        # only rows before r can still be the first to
-                        # diverge, so the later law and iterations skip the rest
-                        rows = r
+                        r = start + a + int(np.flatnonzero(~np.isfinite(current).all(axis=1))[0])
+                        stop_at(r, DivergedRunError(r, dist.name, k))
                         break
-            if (k + 1) in wanted and diverged is None:
+            if (k + 1) in wanted and first is None:
                 harvest(start, rows, theta, wanted[k + 1])
-        return diverged
 
     def harvest(start: int, rows: int, theta: dict, col: int) -> None:
         """Write the segment moments of a block's squared errors into column
@@ -394,14 +392,13 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     with ThreadPoolExecutor(max_workers=min(WORKERS, n_blocks)) as pool:
         futures = [pool.submit(run_block, index) for index in range(n_blocks)]
         try:
-            records = [future.result() for future in futures]
+            for future in futures:
+                future.result()
         except BaseException:
-            fail(-1)
+            stop_at(-1)
             raise
-    # blocks before the lowest failing one ran clean, and it ran to its end,
-    # so its record names the smallest diverging replicate
-    if first_failed < n_blocks:
-        raise records[first_failed]
+    if first is not None:
+        raise first
 
     # Chan, Golub & LeVeque (1979): the moments of all n replicates from
     # those of the segments, with n_j replicates in segment j

@@ -98,6 +98,12 @@ class TestMoments:
         assert captured.err == "error: --draws must be at least 2\n"
         assert captured.out == ""
 
+    def test_negative_seed_is_usage_error(self, capsys):
+        assert cli.main(["moments", "bernoulli", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --seed must be a nonnegative integer\n"
+        assert captured.out == ""
+
     def test_refused_allocation_is_runtime_failure(self, capsys):
         # 10**18 draws need 6.94 EiB, which numpy refuses before allocating
         assert cli.main(["moments", "bernoulli", "--draws", str(10**18)]) == 2

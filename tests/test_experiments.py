@@ -764,8 +764,9 @@ class TestRunExperiment:
         }
 
     def test_rows_after_a_divergence_are_not_evaluated(self, frozen_cliff_spec, monkeypatch):
-        # one worker: with more, the rows of a block after the failing one are
-        # evaluated as well until that block sees the failure
+        # one worker: with more, a block above the stop row (the smallest
+        # diverging replicate found so far) is evaluated until its next law or
+        # iteration
         monkeypatch.setattr(experiments, "WORKERS", 1)
         # one-row segments, so that a budget of 100 x p words makes 100-row blocks
         monkeypatch.setattr(experiments, "_SEGMENT_ROWS", 1)
@@ -813,6 +814,86 @@ class TestRunExperiment:
             run_experiment(replace(spec, problem=replace(spec.problem, loss=loss)))
         assert threading.active_count() == threads
         assert 0 < len(first_block_calls) < 2 * spec.k_values[-1]
+
+    def test_divergence_in_a_lower_block_between_two_laws(self, quadratic_spec, monkeypatch):
+        monkeypatch.setattr(experiments, "WORKERS", 2)
+        # one-row segments, so that the two blocks hold rows 0-9 and 10-20
+        monkeypatch.setattr(experiments, "_SEGMENT_ROWS", 1)
+        spec = small_spec(quadratic_spec, k_values=(1,), n_reps=21)
+        quadratic = spec.problem.loss.evaluator
+        upper_calls = []
+        upper_started, cut = threading.Event(), threading.Event()
+
+        def ordered(theta):
+            values = quadratic(theta)
+            if len(theta) == 10:
+                # the lower block's Bernoulli step, once the upper block has
+                # begun its own: replicate 3 diverges
+                assert upper_started.wait(timeout=60)
+                values[3] = np.inf
+            elif len(theta) == 3:
+                # the lower block's segmented-uniform step, cut to rows 0-2
+                cut.set()
+            elif len(theta) == 11:
+                upper_calls.append(len(theta))
+                upper_started.set()
+                if len(upper_calls) == 2:
+                    # the upper block ends its Bernoulli step after the cut
+                    assert cut.wait(timeout=60)
+            return values
+
+        draws = spied_draws(monkeypatch)
+        loss = LossFunction(name="ordered", evaluator=ordered, dimension=2)
+        with pytest.raises(DivergedRunError) as info:
+            run_experiment(replace(spec, problem=replace(spec.problem, loss=loss)))
+        assert (info.value.replicate, info.value.distribution, info.value.iteration) == (
+            3,
+            "bernoulli",
+            0,
+        )
+        assert cut.is_set()
+        # a block draws all its rows or the rows below the stop row, never
+        # the slice that a negative row count would cut from its buffer
+        assert draws <= {(0, 10), (0, 3), (10, 21)}
+
+    def test_divergence_report_under_frequent_thread_switches(self, quadratic_spec, monkeypatch):
+        # four 50-row blocks, more than the cores, whose Bernoulli steps at
+        # k = 0 all diverge; the lowest of their rows is the one to name
+        def scenario(spec):
+            bern = diverging_rows(spec, BERNOULLI, streams.BERNOULLI_STREAM)
+            su = diverging_rows(spec, SEGMENTED_UNIFORM, streams.SEGMENTED_UNIFORM_STREAM)
+            return set(bern // 50) == {0, 1, 2, 3} and (su.size == 0 or su[0] > bern[0])
+
+        spec = smallest_seed(lambda seed: cliff_spec(quadratic_spec, master_seed=seed), scenario)
+        bern = diverging_rows(spec, BERNOULLI, streams.BERNOULLI_STREAM)
+        assert set(bern // 50) == {0, 1, 2, 3}
+        monkeypatch.setattr(experiments, "WORKERS", 4)
+        monkeypatch.setattr(experiments, "_SEGMENT_ROWS", 1)
+        cliff = spec.problem.loss.evaluator
+        local = threading.local()
+
+        def together(theta):
+            # the blocks leave their last Bernoulli evaluation at k = 0 at
+            # once, so that they lower the one stop row at about the same time
+            local.calls = getattr(local, "calls", 0) + 1
+            if local.calls == 2:
+                barrier.wait(timeout=60)
+            return cliff(theta)
+
+        loss = LossFunction(name="together", evaluator=together, dimension=2)
+        spec = replace(spec, problem=replace(spec.problem, loss=loss))
+        reports = set()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(50):
+                barrier = threading.Barrier(4)
+                with pytest.raises(DivergedRunError) as info:
+                    run_experiment(spec)
+                reports.add((info.value.replicate, info.value.distribution, info.value.iteration))
+        finally:
+            sys.setswitchinterval(interval)
+        assert reports == {(int(bern[0]), "bernoulli", 0)}
 
     def test_block_working_set_per_row(self, quadratic_spec, monkeypatch):
         # two blocks run at once, so a block may hold at most 18 float64 per
